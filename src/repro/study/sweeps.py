@@ -1,39 +1,55 @@
-"""The unified sweep driver: one :class:`SweepSpec` over both engines.
+"""The sweep driver: one :class:`SweepSpec` over every sweep engine.
 
-``run_sweep_study`` accepts the same axis specification regardless of
-which vectorized engine evaluates it:
+``run_sweep_study`` evaluates the same axis specification on any engine
+of the ``_ENGINES`` table:
 
-* ``engine="immunity"`` — the Monte Carlo immunity engine.  Axes:
+* ``engine="immunity"`` — Monte Carlo immunity (Figure 2).  Axes:
   ``gate``, ``technique``, ``cnts_per_trial``, ``max_angle_deg``,
-  ``metallic_fraction``.  Grid expansion delegates to
-  :func:`repro.immunity.montecarlo.sweep`, so the Figure 2 seed contract
+  ``metallic_fraction``.  Grid seeds follow
+  :func:`repro.immunity.montecarlo.sweep`'s contract bit-for-bit
   (techniques share defect populations, distinct parameter combinations
-  get independent child sequences) holds bit-for-bit; zip expansion runs
-  the same contract corner by corner via :meth:`SweepSpec.seeds`.
-* ``engine="transient"`` — the batch transient/characterisation engine.
+  get independent children); zip seeds are :meth:`SweepSpec.seeds`
+  sharing ``technique``.
+* ``engine="transient"`` — batch transient characterisation (Sect. IV).
   Axes: ``cell``, ``drive``, ``load_f``, ``slew_s``, ``vdd``,
-  ``pitch_nm``.  Grid expansion lowers the whole grid into
-  :func:`repro.cells.characterize.characterize_sweep` (one vectorized
-  batch per cell); zip expansion characterises each lock-step corner.
-* ``engine="circuit"`` — the circuit-level yield/delay/energy study
+  ``pitch_nm``.  A grid integrates each cell's corners in one batch on
+  the full grid's shared time base; each zip corner is its own
+  one-point grid.  Unseeded.
+* ``engine="circuit"`` — one full circuit study per corner
   (:func:`repro.circuit_study.run_circuit_study`).  Axes: ``circuit``
   (generator spec or Verilog text), ``technique``, ``cnts_per_trial``,
   ``max_angle_deg``, ``metallic_fraction``, ``vdd``, ``pitch_nm``,
-  ``draws``.  Each corner is one full circuit study; corners differing
-  only in the electrical axes (``vdd``/``pitch_nm``) share one child
-  seed, so their defect populations are identical — the circuit-level
-  analogue of the Figure 2 technique-sharing contract.
+  ``draws``.  Corners differing only in ``vdd``/``pitch_nm`` share one
+  child seed, so their defect populations are identical.
 
 Axes not present in the spec take the engine's fixed defaults, which can
 be overridden by keyword (``run_sweep_study(spec, engine="immunity",
 gate="NAND3")``).
+
+The driver knows no engine by name.  It resolves every corner's full
+binding once, spawns the per-corner seeds in the parent, diffs the
+corners against the corner store when a cache is attached, and executes
+the missing ones (all of them without a cache) under one
+``sweep.execute`` span.  Records list metrics in the engine's declared
+order however they were obtained.  An :class:`_Engine` entry supplies:
+
+* ``axes`` — every axis it understands, with its default;
+* ``metrics`` — a record's metric names, in order;
+* ``seeds(spec, constants, bindings, seed)`` — one child seed per
+  corner, or ``None`` for an unseeded engine;
+* ``keys(sweep)`` — one corner fingerprint per corner;
+* ``execute(sweep, indices, jobs, backend)`` — the metrics of the
+  corners at ``indices``; :func:`_execute_per_corner` builds it from a
+  module-level one-corner function.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Callable, ClassVar, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -73,6 +89,11 @@ CIRCUIT_AXES: Dict[str, object] = {
 #: contract: changing vdd or pitch must not change which defects land.
 _CIRCUIT_SHARE_AXES = ("vdd", "pitch_nm")
 
+#: The immunity axes that select a grid corner's child seed, in
+#: :func:`repro.immunity.montecarlo.sweep`'s spawn (product) order.
+_IMMUNITY_SEED_AXES = ("gate", "cnts_per_trial", "max_angle_deg",
+                       "metallic_fraction")
+
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -104,11 +125,14 @@ class SweepStudyResult(StudyResult):
 
     @classmethod
     def from_payload(cls, payload, provenance):
+        engine = payload["engine"]
         return cls(
             provenance=provenance,
             spec=payload["spec"],
-            engine=payload["engine"],
-            records=tuple(payload["records"]),
+            engine=engine,
+            # Stored payloads come back key-sorted; restore metric order.
+            records=tuple(_record(engine, record.corner, record.metrics)
+                          for record in payload["records"]),
         )
 
     def metric(self, name: str) -> List[Any]:
@@ -144,28 +168,54 @@ class SweepStudyResult(StudyResult):
         return "\n".join(lines)
 
 
-def _validate_axes(spec: SweepSpec, allowed: Mapping[str, object],
-                   engine: str) -> None:
-    unknown = [name for name in spec.axis_names if name not in allowed]
-    if unknown:
-        raise StudyError(
-            f"Engine {engine!r} does not understand axes {unknown}; "
-            f"supported: {sorted(allowed)}"
-        )
+def _record(engine: str, corner: Corner,
+            metrics: Mapping[str, Any]) -> SweepRecord:
+    """A record whose metrics follow ``engine``'s declared order — whether
+    they were computed now or loaded key-sorted from a store."""
+    return SweepRecord(corner=corner, metrics={
+        name: metrics[name] for name in _ENGINES[engine].metrics
+    })
 
 
-def _fixed_values(defaults: Mapping[str, object], spec: SweepSpec,
-                  overrides: Mapping[str, object], engine: str) -> Dict[str, object]:
-    unknown = [name for name in overrides if name not in defaults]
-    if unknown:
-        raise StudyError(
-            f"Engine {engine!r} does not understand fixed parameters "
-            f"{sorted(unknown)}; supported: {sorted(defaults)}"
-        )
-    fixed = dict(defaults)
-    fixed.update(overrides)
-    swept = set(spec.axis_names)
-    return {name: value for name, value in fixed.items() if name not in swept}
+# ---------------------------------------------------------------------------
+# The driver
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Sweep:
+    """A spec resolved against one engine: every corner's full binding
+    (swept or fixed) and its pre-spawned child seed, in corner order."""
+
+    spec: SweepSpec
+    constants: Dict[str, object]
+    bindings: Tuple[Dict[str, object], ...]
+    seeds: Optional[Tuple[np.random.SeedSequence, ...]]
+    trials: int
+
+
+def _resolve(spec: SweepSpec, engine: str, trials: int, seed,
+             fixed: Mapping[str, object]) -> _Sweep:
+    entry = _ENGINES[engine]
+    for kind, names in (("axes", list(spec.axis_names)),
+                        ("fixed parameters", sorted(fixed))):
+        unknown = [name for name in names if name not in entry.axes]
+        if unknown:
+            raise StudyError(
+                f"Engine {engine!r} does not understand {kind} {unknown}; "
+                f"supported: {sorted(entry.axes)}"
+            )
+    constants = {name: fixed.get(name, default)
+                 for name, default in entry.axes.items()
+                 if name not in spec.axis_names}
+    bindings = tuple(
+        {name: corner.get(name, constants.get(name)) for name in entry.axes}
+        for corner in spec.corners()
+    )
+    seeds = None
+    if entry.seeds is not None:
+        seeds = tuple(entry.seeds(spec, constants, bindings, seed))
+    return _Sweep(spec=spec, constants=constants, bindings=bindings,
+                  seeds=seeds, trials=trials)
 
 
 def run_sweep_study(spec: SweepSpec, engine: str = "immunity",
@@ -182,7 +232,7 @@ def run_sweep_study(spec: SweepSpec, engine: str = "immunity",
     :mod:`repro.runtime.scheduler`), with per-corner seeds spawned in the
     parent under the established ``_SWEEP_SPAWN_KEY`` contract, so the
     merged result is **bit-identical** to the serial run for any ``jobs``
-    value on either engine.
+    value on every engine.
 
     ``cache`` plugs the content-addressed result store in (a
     :class:`~repro.runtime.cache.ResultCache`, a path, or ``True`` for
@@ -198,25 +248,27 @@ def run_sweep_study(spec: SweepSpec, engine: str = "immunity",
     """
     if not isinstance(spec, SweepSpec):
         raise StudyError(f"run_sweep_study needs a SweepSpec, got {type(spec).__name__}")
-    if engine not in ("immunity", "transient", "circuit"):
+    if engine not in _ENGINES:
         raise StudyError(
-            f"Unknown sweep engine {engine!r}; use 'immunity', 'transient' "
-            "or 'circuit'"
+            f"Unknown sweep engine {engine!r}; use one of {sorted(_ENGINES)}"
         )
     # Imported lazily: the runtime layer sits on top of the study layer.
+    from ..obs import metrics as obs_metrics
     from ..obs import trace as obs_trace
     from ..runtime.cache import as_cache, with_cache_status
     from ..runtime.fingerprint import sweep_fingerprint
-    from ..runtime.scheduler import resolve_jobs
+    from ..runtime.scheduler import plan_delta, resolve_jobs
 
+    entry = _ENGINES[engine]
     store = as_cache(cache)
-    if engine in ("immunity", "circuit") and seed is None:
+    if entry.seeds is not None and seed is None:
         # seed=None asks for fresh OS entropy — a deliberately
         # nondeterministic run.  Caching it would serve a stale random
         # draw as a "hit", so the cache is bypassed entirely.
         store = None
+    corners = spec.corners()
     with obs_trace.span(f"sweep:{engine}", engine=engine, mode=spec.mode,
-                        corners=len(spec.corners()), trials=trials,
+                        corners=len(corners), trials=trials,
                         cached=store is not None):
         key = None
         if store is not None:
@@ -227,22 +279,34 @@ def run_sweep_study(spec: SweepSpec, engine: str = "immunity",
                 obs_trace.annotate(cache="hit")
                 return with_cache_status(cached, "hit")
 
-        n_jobs = resolve_jobs(jobs)
-        status = None
+        sweep = _resolve(spec, engine, trials, seed, fixed)
+        metrics_by_index: Dict[int, Mapping[str, Any]] = {}
+        missing: Sequence[int] = range(len(corners))
         if store is not None:
-            records, status = _run_sweep_delta(
-                spec, engine=engine, trials=trials, seed=seed, fixed=fixed,
-                store=store, jobs=n_jobs, backend=backend,
-            )
-        elif engine == "immunity":
-            records = _run_immunity(spec, trials=trials, seed=seed,
-                                    fixed=fixed, jobs=n_jobs, backend=backend)
-        elif engine == "circuit":
-            records = _run_circuit(spec, trials=trials, seed=seed,
-                                   fixed=fixed, jobs=n_jobs, backend=backend)
-        else:
-            records = _run_transient(spec, fixed=fixed, jobs=n_jobs,
-                                     backend=backend)
+            with obs_trace.span("sweep.plan", corners=len(corners)):
+                keys = entry.keys(sweep)
+                stored = store.get_corners(keys)
+                plan = plan_delta(keys, set(stored))
+                obs_trace.annotate(hits=plan.hits, misses=plan.misses,
+                                   status=plan.status)
+            metrics_by_index = {index: stored[keys[index]]
+                                for index in plan.hit_indices}
+            missing = plan.miss_indices
+        counters = obs_metrics.registry()
+        counters.inc("sweep.corners_planned", len(corners))
+        counters.inc("sweep.corners_cached", len(metrics_by_index))
+        counters.inc("sweep.corners_executed", len(missing))
+
+        if missing:
+            with obs_trace.span("sweep.execute", corners=len(missing),
+                                engine=engine):
+                fresh = entry.execute(sweep, missing, resolve_jobs(jobs),
+                                      backend)
+                for index, metrics in zip(missing, fresh):
+                    metrics_by_index[index] = metrics
+                    if store is not None:
+                        store.put_corner(keys[index], metrics, engine=engine)
+
         result = SweepStudyResult(
             provenance=Provenance.capture(
                 "sweep", engine=engine, seed=seed,
@@ -253,220 +317,148 @@ def run_sweep_study(spec: SweepSpec, engine: str = "immunity",
             ),
             spec=spec,
             engine=engine,
-            records=tuple(records),
+            records=tuple(_record(engine, corner, metrics_by_index[index])
+                          for index, corner in enumerate(corners)),
         )
         if store is not None:
             store.put(key, result)
-            result = with_cache_status(result, status or "miss")
+            result = with_cache_status(result, plan.status)
             obs_trace.annotate(cache=result.provenance.cache)
         return result
 
-
-# ---------------------------------------------------------------------------
-# Delta recompute over the persistent corner store
-# ---------------------------------------------------------------------------
 
 def _sweep_corner_keys(spec: SweepSpec, engine: str, trials: int, seed,
                        fixed: Mapping[str, object]):
     """``(keys, seeds)`` — one corner fingerprint per spec corner, in
     corner order (``seeds`` is ``None`` for the transient engine).
 
-    The key hashes the corner's **fully-resolved** binding (every engine
+    A key hashes the corner's **fully-resolved** binding (every engine
     axis, swept or fixed), so it is invariant under which axes the spec
-    declares, their declaration order, dict-key order and NumPy-vs-Python
-    scalar spellings — plus:
-
-    * **immunity**: the corner's pre-spawned child ``SeedSequence``
-      (value, not position) and the trial count.  Spawning follows the
-      serial paths exactly, so a grid extension that reassigns spawn
-      positions changes the hashed seed and correctly misses, while one
-      that preserves them (extending the gate axis, or any axis whose
-      canonical predecessors are singletons) keeps every old corner's
-      address stable.
-    * **transient**: the shared per-cell time base
-      (:func:`repro.cells.characterize.grid_time_base`) the corner's
-      waveform was integrated on.  A grid reshape that moves the time
-      base changes every affected address (recompute — exactly what
-      bit-identity demands); one that leaves the analytical envelope
-      alone keeps the stored corners valid.
+    declares, their order and NumPy-vs-Python scalar spellings.  Seeded
+    engines add the corner's child ``SeedSequence`` (value, not position:
+    a grid reshape that reassigns spawn positions correctly misses) and
+    the trial count; the circuit engine hashes its resolved netlist, not
+    its spelling; the transient engine hashes the shared per-cell time
+    base (:func:`repro.cells.characterize.grid_time_base`), so a reshape
+    that moves it recomputes.
     """
-    from ..runtime.fingerprint import corner_fingerprint
+    sweep = _resolve(spec, engine, trials, seed, fixed)
+    seeds = list(sweep.seeds) if sweep.seeds is not None else None
+    return _ENGINES[engine].keys(sweep), seeds
 
-    corners = spec.corners()
 
-    if engine == "immunity":
-        constants = _fixed_values(IMMUNITY_AXES, spec, fixed, "immunity")
+# ---------------------------------------------------------------------------
+# Per-corner execution (immunity, circuit, transient zip)
+# ---------------------------------------------------------------------------
 
-        def value_of(corner, name):
-            return corner.get(name, constants.get(name))
+@dataclass(frozen=True)
+class _CornerShard:
+    """A picklable chunk of corners for one module-level corner runner:
+    resolved bindings plus their pre-spawned seeds."""
 
-        seeds = _immunity_corner_seeds(spec, constants, seed)
-        keys = [
-            corner_fingerprint(
-                "immunity",
-                {name: value_of(corner, name) for name in IMMUNITY_AXES},
-                seed=child,
-                trials=trials,
-            )
-            for corner, child in zip(corners, seeds)
-        ]
-        return keys, seeds
+    run: Callable[[Dict[str, object], Any, int], Dict[str, Any]]
+    bindings: Tuple[Dict[str, object], ...]
+    seeds: Tuple[Optional[np.random.SeedSequence], ...]
+    trials: int
 
-    if engine == "circuit":
-        from ..circuit_study.circuits import resolve_circuit
-        from ..runtime.fingerprint import netlist_context
 
-        constants = _fixed_values(CIRCUIT_AXES, spec, fixed, "circuit")
+def _run_corner_shard(shard: _CornerShard) -> List[Dict[str, Any]]:
+    """Worker: evaluate one shard's corners (module-level for pickling)."""
+    return [shard.run(values, child, shard.trials)
+            for values, child in zip(shard.bindings, shard.seeds)]
 
-        def value_of(corner, name):
-            return corner.get(name, constants.get(name))
 
-        seeds = spec.seeds(seed, share_axes=_CIRCUIT_SHARE_AXES)
-        # The corner's circuit enters the address through the *resolved*
-        # netlist structure (the context), not through how it was spelled
-        # — so a generator spec and the Verilog text it round-trips
-        # through share corners, while any rewiring misses.  Resolved
-        # once per distinct circuit value, not per corner.
-        contexts: Dict[object, object] = {}
-        keys = []
-        for corner, child in zip(corners, seeds):
-            circuit = value_of(corner, "circuit")
-            if circuit not in contexts:
-                contexts[circuit] = netlist_context(resolve_circuit(circuit)[0])
-            keys.append(corner_fingerprint(
-                "circuit",
-                {name: value_of(corner, name) for name in CIRCUIT_AXES
-                 if name != "circuit"},
-                seed=child,
-                trials=trials,
-                context=contexts[circuit],
-            ))
-        return keys, seeds
+def _execute_per_corner(run, sweep: _Sweep, indices: Sequence[int],
+                        jobs: int,
+                        backend: Optional[str]) -> List[Dict[str, Any]]:
+    """Evaluate the corners at ``indices`` one ``run(values, seed,
+    trials)`` call each, sharded over the runtime scheduler; metrics in
+    ``indices`` order.  Seeds were spawned in the parent, so any shard
+    split gives the serial result."""
+    from ..runtime.scheduler import plan_shards, run_tasks
 
-    from ..cells.characterize import cnfet_technology, grid_time_base
-
-    constants = _fixed_values(TRANSIENT_AXES, spec, fixed, "transient")
-
-    def value_of(corner, name):
-        return corner.get(name, constants.get(name))
-
-    contexts: List[Tuple[object, ...]] = []
-    if spec.mode == "grid":
-        # The whole per-cell grid shares one time base, so every corner of
-        # a cell carries the same context — computed once per cell.
-        drives = _axis_or_constant(spec, constants, "drive")
-        loads = _axis_or_constant(spec, constants, "load_f")
-        slews = _axis_or_constant(spec, constants, "slew_s")
-        vdds = _axis_or_constant(spec, constants, "vdd")
-        pitches = _axis_or_constant(spec, constants, "pitch_nm")
-        corner_techs = {
-            _corner_name(vdd, pitch): cnfet_technology(vdd=vdd, pitch_nm=pitch)
-            for vdd in vdds for pitch in pitches
-        }
-        by_cell: Dict[str, Tuple[object, ...]] = {}
-        for corner in corners:
-            cell = str(value_of(corner, "cell"))
-            if cell not in by_cell:
-                by_cell[cell] = grid_time_base(
-                    cell, drives, loads, slews, corner_techs,
-                )
-            contexts.append(by_cell[cell])
-    else:
-        # Zip corners are evaluated as their own one-point grids, so the
-        # context is each corner's private time base.
-        for corner in corners:
-            vdd = value_of(corner, "vdd")
-            pitch = value_of(corner, "pitch_nm")
-            contexts.append(grid_time_base(
-                str(value_of(corner, "cell")),
-                (value_of(corner, "drive"),),
-                (value_of(corner, "load_f"),),
-                (value_of(corner, "slew_s"),),
-                {_corner_name(vdd, pitch):
-                 cnfet_technology(vdd=vdd, pitch_nm=pitch)},
-            ))
-
-    keys = [
-        corner_fingerprint(
-            "transient",
-            {name: value_of(corner, name) for name in TRANSIENT_AXES},
-            context=context,
-        )
-        for corner, context in zip(corners, contexts)
+    bindings = [sweep.bindings[index] for index in indices]
+    seeds = ([sweep.seeds[index] for index in indices]
+             if sweep.seeds is not None else [None] * len(indices))
+    shards = [
+        _CornerShard(run=run, bindings=tuple(bindings[start:stop]),
+                     seeds=tuple(seeds[start:stop]), trials=sweep.trials)
+        for start, stop in plan_shards(len(indices), jobs)
     ]
-    return keys, None
-
-
-def _run_sweep_delta(spec: SweepSpec, engine: str, trials: int, seed,
-                     fixed: Mapping[str, object], store,
-                     jobs: int, backend: Optional[str]):
-    """Diff the requested grid against the corner store, execute only the
-    missing corners, merge.  Returns ``(records, status)`` with records
-    bit-identical to a cold serial run."""
-    from ..obs import trace as obs_trace
-    from ..runtime.scheduler import plan_delta
-
-    if engine == "immunity":
-        _validate_axes(spec, IMMUNITY_AXES, "immunity")
-    elif engine == "circuit":
-        _validate_axes(spec, CIRCUIT_AXES, "circuit")
-    else:
-        _validate_axes(spec, TRANSIENT_AXES, "transient")
-
-    corners = spec.corners()
-    with obs_trace.span("sweep.plan", corners=len(corners)):
-        keys, seeds = _sweep_corner_keys(spec, engine, trials, seed, fixed)
-        cached = store.get_corners(keys)
-        plan = plan_delta(keys, set(cached))
-        obs_trace.annotate(hits=plan.hits, misses=plan.misses,
-                           status=plan.status)
-    from ..obs import metrics as obs_metrics
-    obs_metrics.registry().inc("sweep.corners_planned", plan.total)
-    obs_metrics.registry().inc("sweep.corners_cached", plan.hits)
-    obs_metrics.registry().inc("sweep.corners_executed", plan.misses)
-
-    metrics_by_index: Dict[int, Dict[str, Any]] = {
-        index: cached[keys[index]] for index in plan.hit_indices
-    }
-    if plan.miss_indices:
-        with obs_trace.span("sweep.execute", corners=plan.misses,
-                            engine=engine):
-            if engine == "immunity":
-                constants = _fixed_values(IMMUNITY_AXES, spec, fixed,
-                                          "immunity")
-                fresh = _execute_immunity_corners(
-                    spec, constants, plan.miss_indices, seeds, trials,
-                    jobs, backend,
-                )
-            elif engine == "circuit":
-                constants = _fixed_values(CIRCUIT_AXES, spec, fixed,
-                                          "circuit")
-                fresh = _execute_circuit_corners(
-                    spec, constants, plan.miss_indices, seeds, trials,
-                    jobs, backend,
-                )
-            else:
-                constants = _fixed_values(TRANSIENT_AXES, spec, fixed,
-                                          "transient")
-                fresh = _execute_transient_corners(
-                    spec, constants, plan.miss_indices, jobs, backend,
-                )
-            for index, metrics in zip(plan.miss_indices, fresh):
-                metrics_by_index[index] = metrics
-                store.put_corner(keys[index], metrics, engine=engine)
-
-    records = [
-        SweepRecord(corner=corner, metrics=metrics_by_index[index])
-        for index, corner in enumerate(corners)
-    ]
-    return records, plan.status
+    per_shard = run_tasks(_run_corner_shard, shards, jobs=jobs,
+                          backend=backend)
+    return [metrics for chunk in per_shard for metrics in chunk]
 
 
 # ---------------------------------------------------------------------------
 # Immunity engine
 # ---------------------------------------------------------------------------
 
-def _immunity_metrics(result) -> Dict[str, Any]:
+def _axis_or_constant(spec: SweepSpec, constants: Mapping[str, object],
+                      name: str) -> Tuple[object, ...]:
+    if name in spec.axis_names:
+        return tuple(spec.axis(name).values)
+    return (constants[name],)
+
+
+def _immunity_seeds(spec: SweepSpec, constants: Mapping[str, object],
+                    bindings: Sequence[Mapping[str, object]],
+                    seed) -> List[np.random.SeedSequence]:
+    """One child :class:`~numpy.random.SeedSequence` per corner.
+
+    Grid mode replicates :func:`repro.immunity.montecarlo.sweep`'s
+    contract: children are spawned under the reserved ``_SWEEP_SPAWN_KEY``
+    in ``(gate, cnts, angle, metallic)`` product order, and corners
+    differing only in ``technique`` share one child.  Zip mode is
+    :meth:`SweepSpec.seeds` with ``share_axes=("technique",)``.
+    """
+    if spec.mode != "grid":
+        return spec.seeds(seed, share_axes=("technique",))
+    from ..immunity.montecarlo import _SWEEP_SPAWN_KEY, _as_seed_sequence
+
+    combos = list(itertools.product(*(
+        _axis_or_constant(spec, constants, name)
+        for name in _IMMUNITY_SEED_AXES
+    )))
+    root = _as_seed_sequence(seed)
+    root = np.random.SeedSequence(
+        entropy=root.entropy,
+        spawn_key=root.spawn_key + (_SWEEP_SPAWN_KEY,),
+        pool_size=root.pool_size,
+    )
+    by_combo = dict(zip(combos, root.spawn(len(combos))))
+    return [by_combo[tuple(values[name] for name in _IMMUNITY_SEED_AXES)]
+            for values in bindings]
+
+
+def _immunity_keys(sweep: _Sweep) -> List[str]:
+    from ..runtime.fingerprint import corner_fingerprint
+
+    return [
+        corner_fingerprint("immunity", values, seed=child,
+                           trials=sweep.trials)
+        for values, child in zip(sweep.bindings, sweep.seeds)
+    ]
+
+
+def _immunity_corner(values: Mapping[str, object], seed,
+                     trials: int) -> Dict[str, Any]:
+    """Worker: one immunity corner — assemble the cell, run its trials."""
+    from ..core.standard_cell import assemble_cell
+    from ..immunity import montecarlo
+    from ..logic.functions import standard_gate
+
+    cell = assemble_cell(
+        standard_gate(values["gate"]), technique=values["technique"]
+    )
+    result = montecarlo.run_immunity_trials(
+        cell,
+        trials=trials,
+        cnts_per_trial=values["cnts_per_trial"],
+        max_angle_deg=values["max_angle_deg"],
+        metallic_fraction=values["metallic_fraction"],
+        seed=seed,
+    )
     return {
         "failure_rate": result.failure_rate,
         "failures": result.failures,
@@ -476,325 +468,161 @@ def _immunity_metrics(result) -> Dict[str, Any]:
     }
 
 
-def _axis_or_constant(spec: SweepSpec, constants: Mapping[str, object],
-                      name: str) -> Tuple[object, ...]:
-    if name in spec.axis_names:
-        return tuple(spec.axis(name).values)
-    return (constants[name],)
-
-
-def _immunity_corner_seeds(spec: SweepSpec, constants: Mapping[str, object],
-                           seed) -> List[np.random.SeedSequence]:
-    """One child :class:`~numpy.random.SeedSequence` per corner, exactly
-    as the serial paths assign them.
-
-    Grid mode replicates :func:`repro.immunity.montecarlo.sweep`'s
-    contract: children are spawned under the reserved ``_SWEEP_SPAWN_KEY``
-    in ``(gate, cnts, angle, metallic)`` product order, and corners
-    differing only in ``technique`` share one child.  Zip mode is
-    :meth:`SweepSpec.seeds` with ``share_axes=("technique",)``.  Spawning
-    happens in the parent, per corner — never per worker — which is what
-    makes sharded execution bit-identical to serial.
-    """
-    if spec.mode != "grid":
-        return spec.seeds(seed, share_axes=("technique",))
-    from ..immunity.montecarlo import _SWEEP_SPAWN_KEY, _as_seed_sequence
-
-    combos = list(itertools.product(
-        _axis_or_constant(spec, constants, "gate"),
-        _axis_or_constant(spec, constants, "cnts_per_trial"),
-        _axis_or_constant(spec, constants, "max_angle_deg"),
-        _axis_or_constant(spec, constants, "metallic_fraction"),
-    ))
-    root = _as_seed_sequence(seed)
-    root = np.random.SeedSequence(
-        entropy=root.entropy,
-        spawn_key=root.spawn_key + (_SWEEP_SPAWN_KEY,),
-        pool_size=root.pool_size,
-    )
-    by_combo = dict(zip(combos, root.spawn(len(combos))))
-
-    def value_of(corner, name):
-        return corner.get(name, constants.get(name))
-
-    return [
-        by_combo[(value_of(corner, "gate"),
-                  value_of(corner, "cnts_per_trial"),
-                  value_of(corner, "max_angle_deg"),
-                  value_of(corner, "metallic_fraction"))]
-        for corner in spec.corners()
-    ]
-
-
-@dataclass(frozen=True)
-class _ImmunityShard:
-    """A picklable chunk of immunity corners with pre-spawned seeds."""
-
-    corners: Tuple[Corner, ...]
-    values: Tuple[Tuple[Tuple[str, object], ...], ...]  # resolved bindings
-    seeds: Tuple[np.random.SeedSequence, ...]
-    trials: int
-
-
-def _run_immunity_shard(shard: _ImmunityShard) -> List[Dict[str, Any]]:
-    """Worker: evaluate one shard's corners (module-level for pickling)."""
-    from ..core.standard_cell import assemble_cell
-    from ..immunity.montecarlo import run_immunity_trials
-    from ..logic.functions import standard_gate
-
-    metrics = []
-    for bindings, child in zip(shard.values, shard.seeds):
-        values = dict(bindings)
-        cell = assemble_cell(
-            standard_gate(values["gate"]), technique=values["technique"]
-        )
-        result = run_immunity_trials(
-            cell,
-            trials=shard.trials,
-            cnts_per_trial=values["cnts_per_trial"],
-            max_angle_deg=values["max_angle_deg"],
-            metallic_fraction=values["metallic_fraction"],
-            seed=child,
-        )
-        metrics.append(_immunity_metrics(result))
-    return metrics
-
-
-def _execute_immunity_corners(spec: SweepSpec, constants: Mapping[str, object],
-                              indices: Sequence[int],
-                              seeds: Sequence[np.random.SeedSequence],
-                              trials: int, jobs: int,
-                              backend: Optional[str]) -> List[Dict[str, Any]]:
-    """Evaluate the corners at ``indices`` (with their pre-spawned seeds)
-    through the sharded immunity machinery; metrics in ``indices``
-    order."""
-    from ..runtime.scheduler import plan_shards, run_tasks
-
-    def value_of(corner, name):
-        return corner.get(name, constants.get(name))
-
-    corners = spec.corners()
-    selected = [corners[index] for index in indices]
-    selected_seeds = [seeds[index] for index in indices]
-    resolved = [
-        tuple((name, value_of(corner, name)) for name in IMMUNITY_AXES)
-        for corner in selected
-    ]
-    shards = [
-        _ImmunityShard(
-            corners=tuple(selected[start:stop]),
-            values=tuple(resolved[start:stop]),
-            seeds=tuple(selected_seeds[start:stop]),
-            trials=trials,
-        )
-        for start, stop in plan_shards(len(selected), jobs)
-    ]
-    per_shard = run_tasks(_run_immunity_shard, shards, jobs=jobs,
-                          backend=backend)
-    return [metrics for chunk in per_shard for metrics in chunk]
-
-
-def _run_immunity_sharded(spec: SweepSpec, trials: int, seed,
-                          constants: Mapping[str, object],
-                          jobs: int, backend: Optional[str]) -> List[SweepRecord]:
-    corners = spec.corners()
-    seeds = _immunity_corner_seeds(spec, constants, seed)
-    metrics = _execute_immunity_corners(spec, constants, range(len(corners)),
-                                        seeds, trials, jobs, backend)
-    return [SweepRecord(corner=corner, metrics=corner_metrics)
-            for corner, corner_metrics in zip(corners, metrics)]
-
-
-def _run_immunity(spec: SweepSpec, trials: int, seed,
-                  fixed: Mapping[str, object], jobs: int = 1,
-                  backend: Optional[str] = None) -> List[SweepRecord]:
-    from ..immunity.montecarlo import sweep as immunity_sweep
-
-    _validate_axes(spec, IMMUNITY_AXES, "immunity")
-    constants = _fixed_values(IMMUNITY_AXES, spec, fixed, "immunity")
-
-    if jobs > 1:
-        return _run_immunity_sharded(spec, trials, seed, constants,
-                                     jobs, backend)
-
-    def value_of(corner, name):
-        return corner.get(name, constants.get(name))
-
-    if spec.mode == "grid":
-        # Lower the grid straight onto the canonical Figure 2 sweep so its
-        # seed contract holds bit-for-bit, then re-order the points back
-        # into this spec's corner order.
-        def axis_values(name) -> Sequence[object]:
-            if name in spec.axis_names:
-                return spec.axis(name).values
-            return (constants[name],)
-
-        points = immunity_sweep(
-            gates=tuple(axis_values("gate")),
-            techniques=tuple(axis_values("technique")),
-            cnts_per_trial=tuple(axis_values("cnts_per_trial")),
-            max_angle_deg=tuple(axis_values("max_angle_deg")),
-            metallic_fraction=tuple(axis_values("metallic_fraction")),
-            trials=trials,
-            seed=seed,
-        )
-        by_key = {
-            (point.gate, point.technique, point.cnts_per_trial,
-             point.max_angle_deg, point.metallic_fraction): point
-            for point in points
-        }
-        records = []
-        for corner in spec.corners():
-            key = (value_of(corner, "gate"), value_of(corner, "technique"),
-                   value_of(corner, "cnts_per_trial"),
-                   value_of(corner, "max_angle_deg"),
-                   value_of(corner, "metallic_fraction"))
-            records.append(
-                SweepRecord(corner=corner,
-                            metrics=_immunity_metrics(by_key[key].result))
-            )
-        return records
-
-    # zip mode: evaluate corner by corner; corners differing only in
-    # technique share one child sequence (the Figure 2 contract).
-    from ..immunity.montecarlo import run_immunity_trials
-    from ..core.standard_cell import assemble_cell
-    from ..logic.functions import standard_gate
-
-    seeds = spec.seeds(seed, share_axes=("technique",))
-    records = []
-    for corner, child in zip(spec.corners(), seeds):
-        cell = assemble_cell(
-            standard_gate(value_of(corner, "gate")),
-            technique=value_of(corner, "technique"),
-        )
-        result = run_immunity_trials(
-            cell,
-            trials=trials,
-            cnts_per_trial=value_of(corner, "cnts_per_trial"),
-            max_angle_deg=value_of(corner, "max_angle_deg"),
-            metallic_fraction=value_of(corner, "metallic_fraction"),
-            seed=child,
-        )
-        records.append(SweepRecord(corner=corner,
-                                   metrics=_immunity_metrics(result)))
-    return records
-
-
 # ---------------------------------------------------------------------------
 # Circuit engine
 # ---------------------------------------------------------------------------
 
-def _circuit_metrics(result) -> Dict[str, Any]:
-    """The scalar corner payload of one circuit study (the full typed
-    result stays reachable through ``run_study("circuit", ...)``; sweep
-    corners store only what the corner table plots)."""
-    return {
-        "functional_yield": result.functional_yield,
-        "monte_carlo_yield": result.monte_carlo_yield,
-        "critical_path_delay_s": result.critical_path_delay_s,
-        "total_energy_per_cycle_j": result.total_energy_per_cycle_j,
-        "total_cell_area_lambda2": result.total_cell_area_lambda2,
-        "instances": result.instances,
-        "unique_cells": result.unique_cells,
-    }
+#: The scalar corner payload of one circuit study (the full typed result
+#: stays reachable through ``run_study("circuit", ...)``; sweep corners
+#: store only what the corner table plots).
+_CIRCUIT_METRICS = (
+    "functional_yield",
+    "monte_carlo_yield",
+    "critical_path_delay_s",
+    "total_energy_per_cycle_j",
+    "total_cell_area_lambda2",
+    "instances",
+    "unique_cells",
+)
 
 
-@dataclass(frozen=True)
-class _CircuitShard:
-    """A picklable chunk of circuit corners with pre-spawned seeds."""
-
-    values: Tuple[Tuple[Tuple[str, object], ...], ...]  # resolved bindings
-    seeds: Tuple[np.random.SeedSequence, ...]
-    trials: int
+def _circuit_seeds(spec: SweepSpec, constants: Mapping[str, object],
+                   bindings: Sequence[Mapping[str, object]],
+                   seed) -> List[np.random.SeedSequence]:
+    return spec.seeds(seed, share_axes=_CIRCUIT_SHARE_AXES)
 
 
-def _run_circuit_shard(shard: _CircuitShard) -> List[Dict[str, Any]]:
-    """Worker: evaluate one shard's circuit corners (module-level for
-    pickling).  Each corner is a full, uncached, serial inner study —
-    parallelism and caching belong to the sweep driver."""
+def _circuit_keys(sweep: _Sweep) -> List[str]:
+    from ..circuit_study.circuits import resolve_circuit
+    from ..runtime.fingerprint import corner_fingerprint, netlist_context
+
+    # The corner's circuit enters the address through the *resolved*
+    # netlist structure (the context), not through how it was spelled —
+    # so a generator spec and the Verilog text it round-trips through
+    # share corners, while any rewiring misses.  Resolved once per
+    # distinct circuit value, not per corner.
+    contexts: Dict[object, object] = {}
+    keys = []
+    for values, child in zip(sweep.bindings, sweep.seeds):
+        circuit = values["circuit"]
+        if circuit not in contexts:
+            contexts[circuit] = netlist_context(resolve_circuit(circuit)[0])
+        keys.append(corner_fingerprint(
+            "circuit",
+            {name: value for name, value in values.items()
+             if name != "circuit"},
+            seed=child,
+            trials=sweep.trials,
+            context=contexts[circuit],
+        ))
+    return keys
+
+
+def _circuit_corner(values: Mapping[str, object], seed,
+                    trials: int) -> Dict[str, Any]:
+    """Worker: one circuit corner.  Each is a full, uncached, serial
+    inner study — parallelism and caching belong to the sweep driver."""
     from ..circuit_study import study as circuit_engine
 
-    metrics = []
-    for bindings, child in zip(shard.values, shard.seeds):
-        values = dict(bindings)
-        result = circuit_engine.run_circuit_study(
-            values["circuit"],
-            trials=shard.trials,
-            seed=child,
-            cnts_per_trial=values["cnts_per_trial"],
-            max_angle_deg=values["max_angle_deg"],
-            metallic_fraction=values["metallic_fraction"],
-            technique=values["technique"],
-            vdd=values["vdd"],
-            pitch_nm=values["pitch_nm"],
-            draws=int(values["draws"]),
-        )
-        metrics.append(_circuit_metrics(result))
-    return metrics
-
-
-def _execute_circuit_corners(spec: SweepSpec, constants: Mapping[str, object],
-                             indices: Sequence[int],
-                             seeds: Sequence[np.random.SeedSequence],
-                             trials: int, jobs: int,
-                             backend: Optional[str]) -> List[Dict[str, Any]]:
-    """Evaluate the circuit corners at ``indices`` (with their pre-spawned
-    seeds) through the sharded machinery; metrics in ``indices`` order."""
-    from ..runtime.scheduler import plan_shards, run_tasks
-
-    def value_of(corner, name):
-        return corner.get(name, constants.get(name))
-
-    corners = spec.corners()
-    selected = [corners[index] for index in indices]
-    selected_seeds = [seeds[index] for index in indices]
-    resolved = [
-        tuple((name, value_of(corner, name)) for name in CIRCUIT_AXES)
-        for corner in selected
-    ]
-    shards = [
-        _CircuitShard(
-            values=tuple(resolved[start:stop]),
-            seeds=tuple(selected_seeds[start:stop]),
-            trials=trials,
-        )
-        for start, stop in plan_shards(len(selected), jobs)
-    ]
-    per_shard = run_tasks(_run_circuit_shard, shards, jobs=jobs,
-                          backend=backend)
-    return [metrics for chunk in per_shard for metrics in chunk]
-
-
-def _run_circuit(spec: SweepSpec, trials: int, seed,
-                 fixed: Mapping[str, object], jobs: int = 1,
-                 backend: Optional[str] = None) -> List[SweepRecord]:
-    _validate_axes(spec, CIRCUIT_AXES, "circuit")
-    constants = _fixed_values(CIRCUIT_AXES, spec, fixed, "circuit")
-    corners = spec.corners()
-    seeds = spec.seeds(seed, share_axes=_CIRCUIT_SHARE_AXES)
-    metrics = _execute_circuit_corners(spec, constants, range(len(corners)),
-                                       seeds, trials, jobs, backend)
-    return [SweepRecord(corner=corner, metrics=corner_metrics)
-            for corner, corner_metrics in zip(corners, metrics)]
+    result = circuit_engine.run_circuit_study(
+        values["circuit"],
+        trials=trials,
+        seed=seed,
+        cnts_per_trial=values["cnts_per_trial"],
+        max_angle_deg=values["max_angle_deg"],
+        metallic_fraction=values["metallic_fraction"],
+        technique=values["technique"],
+        vdd=values["vdd"],
+        pitch_nm=values["pitch_nm"],
+        draws=int(values["draws"]),
+    )
+    return {name: getattr(result, name) for name in _CIRCUIT_METRICS}
 
 
 # ---------------------------------------------------------------------------
 # Transient / characterisation engine
 # ---------------------------------------------------------------------------
 
+_TRANSIENT_METRICS = (
+    "delay_rise_s",
+    "delay_fall_s",
+    "worst_delay_s",
+    "energy_per_cycle_j",
+    "vdd",
+)
+
+
 def _transient_metrics(point) -> Dict[str, Any]:
-    return {
-        "delay_rise_s": point.delay_rise_s,
-        "delay_fall_s": point.delay_fall_s,
-        "worst_delay_s": point.worst_delay_s,
-        "energy_per_cycle_j": point.energy_per_cycle_j,
-        "vdd": point.vdd,
-    }
+    return {name: getattr(point, name) for name in _TRANSIENT_METRICS}
 
 
 def _corner_name(vdd: float, pitch_nm: float) -> str:
     return f"v{vdd:g}_p{pitch_nm:g}"
+
+
+def _corner_techs(corner_grid: Sequence[Tuple[object, object]]):
+    """``{name: technology}`` for ``(vdd, pitch_nm)`` corners."""
+    from ..cells.characterize import cnfet_technology
+
+    return {_corner_name(vdd, pitch): cnfet_technology(vdd=vdd, pitch_nm=pitch)
+            for vdd, pitch in corner_grid}
+
+
+def _transient_grid(sweep: _Sweep):
+    """``(drives, loads, slews, corner_grid)`` of a grid sweep: the
+    per-cell product every grid corner is integrated on, with
+    ``corner_grid`` the ``(vdd, pitch_nm)`` pairs."""
+    drives, loads, slews, vdds, pitches = (
+        _axis_or_constant(sweep.spec, sweep.constants, name)
+        for name in ("drive", "load_f", "slew_s", "vdd", "pitch_nm"))
+    return drives, loads, slews, tuple(itertools.product(vdds, pitches))
+
+
+def _transient_keys(sweep: _Sweep) -> List[str]:
+    from ..cells.characterize import grid_time_base
+    from ..runtime.fingerprint import corner_fingerprint
+
+    if sweep.spec.mode == "grid":
+        # The whole per-cell grid shares one time base, so every corner of
+        # a cell carries the same context — computed once per cell.
+        drives, loads, slews, corner_grid = _transient_grid(sweep)
+        techs = _corner_techs(corner_grid)
+        by_cell: Dict[str, Tuple[object, ...]] = {}
+        contexts = []
+        for values in sweep.bindings:
+            cell = str(values["cell"])
+            if cell not in by_cell:
+                by_cell[cell] = grid_time_base(cell, drives, loads, slews,
+                                               techs)
+            contexts.append(by_cell[cell])
+    else:
+        # Zip corners are evaluated as their own one-point grids, so the
+        # context is each corner's private time base.
+        contexts = [
+            grid_time_base(
+                str(values["cell"]), (values["drive"],),
+                (values["load_f"],), (values["slew_s"],),
+                _corner_techs([(values["vdd"], values["pitch_nm"])]),
+            )
+            for values in sweep.bindings
+        ]
+    return [corner_fingerprint("transient", values, context=context)
+            for values, context in zip(sweep.bindings, contexts)]
+
+
+def _transient_corner(values: Mapping[str, object], seed,
+                      trials: int) -> Dict[str, Any]:
+    """Worker: one zip corner, characterised as its own one-point grid."""
+    from ..cells.characterize import characterize_sweep
+
+    sweep = characterize_sweep(
+        gate_names=(str(values["cell"]),),
+        drive_strengths=(values["drive"],),
+        load_capacitances_f=(values["load_f"],),
+        input_slews_s=(values["slew_s"],),
+        corners=_corner_techs([(values["vdd"], values["pitch_nm"])]),
+    )
+    return _transient_metrics(sweep.points[0])
 
 
 @dataclass(frozen=True)
@@ -802,7 +630,7 @@ class _TransientGridShard:
     """A picklable slice of one cell's characterisation grid.
 
     Workers re-plan the **full** ``(drive, load, slew, corner)`` grid —
-    cheap, analytical — so the shared time base matches the serial batch
+    cheap, analytical — so the shared time base matches the full batch
     exactly, then integrate only ``case_indices``
     (:func:`repro.cells.characterize.characterize_cases`)."""
 
@@ -816,112 +644,57 @@ class _TransientGridShard:
 
 def _run_transient_grid_shard(shard: _TransientGridShard) -> List[Dict[str, Any]]:
     """Worker: integrate one grid shard (module-level for pickling)."""
-    from ..cells.characterize import characterize_cases, cnfet_technology
+    from ..cells.characterize import characterize_cases
 
-    corners = {
-        _corner_name(vdd, pitch): cnfet_technology(vdd=vdd, pitch_nm=pitch)
-        for vdd, pitch in shard.corner_grid
-    }
     points = characterize_cases(
         shard.cell, shard.case_indices,
         drive_strengths=shard.drives,
         load_capacitances_f=shard.loads,
         input_slews_s=shard.slews,
-        corners=corners,
+        corners=_corner_techs(shard.corner_grid),
     )
     return [_transient_metrics(point) for point in points]
 
 
-@dataclass(frozen=True)
-class _TransientZipShard:
-    """A picklable chunk of lock-step corners, each its own tiny grid —
-    exactly the serial zip path's evaluation unit."""
+def _execute_transient(sweep: _Sweep, indices: Sequence[int], jobs: int,
+                       backend: Optional[str]) -> List[Dict[str, Any]]:
+    """Evaluate the corners at ``indices``; metrics in ``indices`` order.
 
-    cases: Tuple[Tuple[str, object, object, object, object, object], ...]
-
-
-def _run_transient_zip_shard(shard: _TransientZipShard) -> List[Dict[str, Any]]:
-    """Worker: evaluate one zip shard (module-level for pickling)."""
-    from ..cells.characterize import characterize_sweep, cnfet_technology
-
-    metrics = []
-    for cell, drive, load, slew, vdd, pitch in shard.cases:
-        name = _corner_name(vdd, pitch)
-        sweep = characterize_sweep(
-            gate_names=(cell,),
-            drive_strengths=(drive,),
-            load_capacitances_f=(load,),
-            input_slews_s=(slew,),
-            corners={name: cnfet_technology(vdd=vdd, pitch_nm=pitch)},
-        )
-        metrics.append(_transient_metrics(sweep.points[0]))
-    return metrics
-
-
-def _execute_transient_corners(spec: SweepSpec,
-                               constants: Mapping[str, object],
-                               indices: Sequence[int], jobs: int,
-                               backend: Optional[str]) -> List[Dict[str, Any]]:
-    """Evaluate the corners at ``indices`` through the sharded transient
-    machinery; metrics in ``indices`` order.
-
-    Grid-mode shards still re-plan the **full** per-cell grid and
-    integrate only their cases, so a subset run — a delta recompute as
-    much as a parallel shard — lands on the same shared time base and
-    bit-identical waveforms as the cold batch.
+    Zip corners run one by one.  Grid shards re-plan the **full** per-cell
+    grid and integrate only their cases, so a subset run — a delta
+    recompute as much as a parallel shard — lands on the same shared time
+    base and bit-identical waveforms as the whole grid in one batch.
     """
-    from ..runtime.scheduler import plan_shards, run_tasks, shard_indices
+    if sweep.spec.mode == "zip":
+        return _execute_per_corner(_transient_corner, sweep, indices, jobs,
+                                   backend)
+    from ..runtime.scheduler import run_tasks, shard_indices
 
-    def value_of(corner, name):
-        return corner.get(name, constants.get(name))
+    drives, loads, slews, corner_grid = _transient_grid(sweep)
 
-    corners_list = spec.corners()
-    selected = [corners_list[index] for index in indices]
-
-    if spec.mode == "zip":
-        shards = [
-            _TransientZipShard(cases=tuple(
-                (str(value_of(c, "cell")), value_of(c, "drive"),
-                 value_of(c, "load_f"), value_of(c, "slew_s"),
-                 value_of(c, "vdd"), value_of(c, "pitch_nm"))
-                for c in selected[start:stop]
-            ))
-            for start, stop in plan_shards(len(selected), jobs)
-        ]
-        per_shard = run_tasks(_run_transient_zip_shard, shards, jobs=jobs,
-                              backend=backend)
-        return [metrics for chunk in per_shard for metrics in chunk]
-
-    drives = _axis_or_constant(spec, constants, "drive")
-    loads = _axis_or_constant(spec, constants, "load_f")
-    slews = _axis_or_constant(spec, constants, "slew_s")
-    vdds = _axis_or_constant(spec, constants, "vdd")
-    pitches = _axis_or_constant(spec, constants, "pitch_nm")
-    corner_grid = tuple((vdd, pitch) for vdd in vdds for pitch in pitches)
-
-    # Selected corner -> (cell, flat index into the per-cell product
-    # grid), grouped by cell because the shared time base is per cell.
+    # Selected corner -> flat index into its cell's product grid, grouped
+    # by cell because the shared time base is per cell.
     by_cell: Dict[str, List[Tuple[int, int]]] = {}
-    for position, corner in enumerate(selected):
-        cell = str(value_of(corner, "cell"))
+    for position, index in enumerate(indices):
+        values = sweep.bindings[index]
         flat = np.ravel_multi_index(
             (
-                drives.index(value_of(corner, "drive")),
-                loads.index(value_of(corner, "load_f")),
-                slews.index(value_of(corner, "slew_s")),
-                vdds.index(value_of(corner, "vdd")) * len(pitches)
-                + pitches.index(value_of(corner, "pitch_nm")),
+                drives.index(values["drive"]),
+                loads.index(values["load_f"]),
+                slews.index(values["slew_s"]),
+                corner_grid.index((values["vdd"], values["pitch_nm"])),
             ),
             (len(drives), len(loads), len(slews), len(corner_grid)),
         )
-        by_cell.setdefault(cell, []).append((position, int(flat)))
+        by_cell.setdefault(str(values["cell"]), []).append(
+            (position, int(flat)))
 
     tasks: List[_TransientGridShard] = []
     owners: List[List[int]] = []
     for cell, pairs in by_cell.items():
         # One shard per worker, no oversubscription: each transient shard
         # re-plans the whole per-cell grid (O(grid), unlike the O(slice)
-        # immunity shards), so extra shards multiply planning work.
+        # per-corner shards), so extra shards multiply planning work.
         for start, stop in shard_indices(len(pairs), jobs):
             chunk = pairs[start:stop]
             tasks.append(_TransientGridShard(
@@ -933,81 +706,48 @@ def _execute_transient_corners(spec: SweepSpec,
             owners.append([position for position, _ in chunk])
     per_shard = run_tasks(_run_transient_grid_shard, tasks, jobs=jobs,
                           backend=backend)
-    flat_metrics: List[Optional[Dict[str, Any]]] = [None] * len(selected)
-    for owner, metrics_list in zip(owners, per_shard):
-        for position, metrics in zip(owner, metrics_list):
-            flat_metrics[position] = metrics
-    return flat_metrics
+    metrics: List[Optional[Dict[str, Any]]] = [None] * len(indices)
+    for owner, chunk in zip(owners, per_shard):
+        for position, corner_metrics in zip(owner, chunk):
+            metrics[position] = corner_metrics
+    return metrics
 
 
-def _run_transient_sharded(spec: SweepSpec, constants: Mapping[str, object],
-                           jobs: int, backend: Optional[str]) -> List[SweepRecord]:
-    corners_list = spec.corners()
-    metrics = _execute_transient_corners(spec, constants,
-                                         range(len(corners_list)),
-                                         jobs, backend)
-    return [SweepRecord(corner=corner, metrics=corner_metrics)
-            for corner, corner_metrics in zip(corners_list, metrics)]
+# ---------------------------------------------------------------------------
+# The engine table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Engine:
+    """Everything the driver needs from one sweep engine."""
+
+    axes: Mapping[str, object]
+    metrics: Tuple[str, ...]
+    seeds: Optional[Callable[..., Sequence[np.random.SeedSequence]]]
+    keys: Callable[[_Sweep], List[str]]
+    execute: Callable[..., List[Dict[str, Any]]]
 
 
-def _run_transient(spec: SweepSpec,
-                   fixed: Mapping[str, object], jobs: int = 1,
-                   backend: Optional[str] = None) -> List[SweepRecord]:
-    from ..cells.characterize import characterize_sweep, cnfet_technology
-
-    _validate_axes(spec, TRANSIENT_AXES, "transient")
-    constants = _fixed_values(TRANSIENT_AXES, spec, fixed, "transient")
-
-    if jobs > 1:
-        return _run_transient_sharded(spec, constants, jobs, backend)
-
-    def value_of(corner, name):
-        return corner.get(name, constants.get(name))
-
-    def axis_values(name) -> Tuple[object, ...]:
-        if name in spec.axis_names:
-            return tuple(spec.axis(name).values)
-        return (constants[name],)
-
-    if spec.mode == "grid":
-        corners = {
-            _corner_name(vdd, pitch): cnfet_technology(vdd=vdd, pitch_nm=pitch)
-            for vdd in axis_values("vdd")
-            for pitch in axis_values("pitch_nm")
-        }
-        sweep = characterize_sweep(
-            gate_names=tuple(axis_values("cell")),
-            drive_strengths=tuple(axis_values("drive")),
-            load_capacitances_f=tuple(axis_values("load_f")),
-            input_slews_s=tuple(axis_values("slew_s")),
-            corners=corners,
-        )
-        records = []
-        for corner in spec.corners():
-            point = sweep.point(
-                str(value_of(corner, "cell")),
-                value_of(corner, "drive"),
-                value_of(corner, "load_f"),
-                value_of(corner, "slew_s"),
-                _corner_name(value_of(corner, "vdd"),
-                             value_of(corner, "pitch_nm")),
-            )
-            records.append(SweepRecord(corner=corner,
-                                       metrics=_transient_metrics(point)))
-        return records
-
-    records = []
-    for corner in spec.corners():
-        vdd = value_of(corner, "vdd")
-        pitch = value_of(corner, "pitch_nm")
-        name = _corner_name(vdd, pitch)
-        sweep = characterize_sweep(
-            gate_names=(str(value_of(corner, "cell")),),
-            drive_strengths=(value_of(corner, "drive"),),
-            load_capacitances_f=(value_of(corner, "load_f"),),
-            input_slews_s=(value_of(corner, "slew_s"),),
-            corners={name: cnfet_technology(vdd=vdd, pitch_nm=pitch)},
-        )
-        records.append(SweepRecord(corner=corner,
-                                   metrics=_transient_metrics(sweep.points[0])))
-    return records
+_ENGINES: Dict[str, _Engine] = {
+    "immunity": _Engine(
+        axes=IMMUNITY_AXES,
+        metrics=("failure_rate", "failures", "trials", "immune", "result"),
+        seeds=_immunity_seeds,
+        keys=_immunity_keys,
+        execute=functools.partial(_execute_per_corner, _immunity_corner),
+    ),
+    "transient": _Engine(
+        axes=TRANSIENT_AXES,
+        metrics=_TRANSIENT_METRICS,
+        seeds=None,
+        keys=_transient_keys,
+        execute=_execute_transient,
+    ),
+    "circuit": _Engine(
+        axes=CIRCUIT_AXES,
+        metrics=_CIRCUIT_METRICS,
+        seeds=_circuit_seeds,
+        keys=_circuit_keys,
+        execute=functools.partial(_execute_per_corner, _circuit_corner),
+    ),
+}

@@ -55,6 +55,14 @@ def transient_counter(monkeypatch):
     return integrated
 
 
+def _assert_same_layout(result, reference):
+    """Same metric key order in every record and the same table header:
+    corners served from the store must not come back key-sorted."""
+    assert [list(record.metrics) for record in result.records] == \
+        [list(record.metrics) for record in reference.records]
+    assert str(result).splitlines()[0] == str(reference).splitlines()[0]
+
+
 # ---------------------------------------------------------------------------
 # Corner fingerprint stability
 # ---------------------------------------------------------------------------
@@ -193,8 +201,14 @@ class TestDeltaRecompute:
                                 cache=store)
         assert len(immunity_counter) == 2          # only the cnts=8 corners
         assert delta.provenance.cache == "partial:4/6"
-        assert delta == run_sweep_study(wider, engine="immunity", trials=20,
-                                        seed=7)
+        reference = run_sweep_study(wider, engine="immunity", trials=20,
+                                    seed=7)
+        assert delta == reference
+        _assert_same_layout(delta, reference)
+        hit = run_sweep_study(wider, engine="immunity", trials=20, seed=7,
+                              cache=store)
+        assert hit.provenance.cache == "hit"
+        _assert_same_layout(hit, reference)
 
     def test_immunity_zip_runs_only_missing_corners(
             self, tmp_path, immunity_counter):
@@ -229,7 +243,12 @@ class TestDeltaRecompute:
         delta = run_sweep_study(wider, engine="transient", cache=store)
         assert len(transient_counter) == 2         # only the NAND2 corners
         assert delta.provenance.cache == "partial:2/4"
-        assert delta == run_sweep_study(wider, engine="transient")
+        reference = run_sweep_study(wider, engine="transient")
+        assert delta == reference
+        _assert_same_layout(delta, reference)
+        hit = run_sweep_study(wider, engine="transient", cache=store)
+        assert hit.provenance.cache == "hit"
+        _assert_same_layout(hit, reference)
 
     def test_transient_interior_extension_keeps_the_time_base(
             self, tmp_path, transient_counter):

@@ -166,6 +166,11 @@ class TestBitIdentity:
         root = next(entry for entry in document["spans"]
                     if entry["name"] == f"sweep:{engine}")
         assert root["attributes"]["engine"] == engine
+        # Uncached: every corner executes under the driver's one span.
+        executes = [entry for entry in document["spans"]
+                    if entry["name"] == "sweep.execute"]
+        assert len(executes) == 1
+        assert executes[0]["attributes"]["corners"] == len(spec.corners())
 
     def test_cached_sweep_is_identical_under_tracing(self, tmp_path):
         spec = SweepSpec.from_mapping({"cnts_per_trial": (2, 4)})

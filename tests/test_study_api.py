@@ -33,6 +33,7 @@ from repro.analysis.experiments import (
     run_pitch_sensitivity,
     run_table1,
 )
+from repro.cells.characterize import characterize_sweep, cnfet_technology
 from repro.errors import FlowError, StudyError
 from repro.flow.designkit import FlowReport, FlowSummary
 from repro.flow.placement import PlacementResult
@@ -421,6 +422,37 @@ class TestUnifiedSweep:
         # Lower supply is slower for the same cell/load.
         assert (study.records[0].metrics["worst_delay_s"]
                 > study.records[1].metrics["worst_delay_s"])
+        # Independent reference: the grid lowered by hand onto one
+        # characterize_sweep batch, corner by corner.
+        reference = characterize_sweep(
+            gate_names=("INV",), drive_strengths=(1.0,),
+            load_capacitances_f=(1.0e-15,), input_slews_s=(5.0e-12,),
+            corners={f"v{vdd:g}": cnfet_technology(vdd=vdd, pitch_nm=5.0)
+                     for vdd in (0.9, 1.0)},
+        )
+        for record in study.records:
+            vdd = record.corner["vdd"]
+            point = reference.point("INV", 1.0, 1.0e-15, 5.0e-12, f"v{vdd:g}")
+            assert record.metrics == {
+                "delay_rise_s": point.delay_rise_s,
+                "delay_fall_s": point.delay_fall_s,
+                "worst_delay_s": point.worst_delay_s,
+                "energy_per_cycle_j": point.energy_per_cycle_j,
+                "vdd": point.vdd,
+            }
+        # A zip corner is its own one-point grid.
+        zipped = run_sweep_study(
+            SweepSpec.from_mapping({"vdd": (0.9,), "load_f": (2.0e-15,)},
+                                   mode="zip"),
+            engine="transient", cell="NAND2")
+        alone = characterize_sweep(
+            gate_names=("NAND2",), drive_strengths=(1.0,),
+            load_capacitances_f=(2.0e-15,), input_slews_s=(5.0e-12,),
+            corners={"zip": cnfet_technology(vdd=0.9, pitch_nm=5.0)},
+        ).points[0]
+        assert zipped.records[0].metrics["worst_delay_s"] == alone.worst_delay_s
+        assert (zipped.records[0].metrics["energy_per_cycle_j"]
+                == alone.energy_per_cycle_j)
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(StudyError):
