@@ -1,14 +1,9 @@
 """Experiment runners: one function per table/figure of the paper.
 
 Each ``run_*`` function regenerates one evaluation artefact and returns a
-**typed** :class:`~repro.study.results.StudyResult` subclass.  The typed
-results speak the Mapping protocol and their ``to_dict()`` reproduces the
-historical plain-dict payload exactly (same keys, bit-identical values for
-fixed seeds), so pre-redesign call sites — ``result["optimal"]`` — keep
-working unchanged; new code should prefer the typed attributes,
-``str(result)`` renderings and JSON round-trips.  Callers that really want
-the old plain dicts can use the deprecation shims in
-:mod:`repro.analysis.legacy`.
+**typed** :class:`~repro.study.results.StudyResult` subclass: typed
+attributes, a ``str(result)`` rendering, a lossless JSON round-trip, and
+Mapping access to the payload (``result["optimal"]["delay_gain"]``).
 """
 
 from __future__ import annotations
@@ -62,8 +57,6 @@ from ..study.results import (
     Provenance,
     StudyResult,
     Table1Result,
-    render_fig7,
-    render_fulladder,
 )
 from .metrics import GainReport, TechnologyFigures
 
@@ -257,16 +250,6 @@ def run_fig7_fo4(max_tubes: int = 20, gate_width_nm: float = FO4_GATE_WIDTH_NM,
     )
 
 
-def format_fig7(result) -> str:
-    """Render the Figure 7 sweep as a text table.
-
-    .. deprecated:: 0.2
-        ``str(result)`` on the typed :class:`Fig7Result` renders the same
-        table; this wrapper remains for dict payloads and old call sites.
-    """
-    return render_fig7(result)
-
-
 def run_fo4_transient_sweep(
     tube_counts: Sequence[int] = (1, 2, 4, 6, 8, 12),
     gate_width_nm: float = FO4_GATE_WIDTH_NM,
@@ -449,16 +432,6 @@ def run_fulladder_case_study(unit_width: float = 4.0) -> FullAdderResult:
         },
         flow_results=results,
     )
-
-
-def format_fulladder(result) -> str:
-    """Render the full-adder case study as text.
-
-    .. deprecated:: 0.2
-        ``str(result)`` on the typed :class:`FullAdderResult` renders the
-        same report; this wrapper remains for dict payloads.
-    """
-    return render_fulladder(result)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,9 @@ RPL009   one concurrency surface: no ``threading`` primitive construction
 RPL010   clock confinement: wall-clock/monotonic reads only inside the
          ``obs/`` package — everything else takes time through
          ``repro.obs.clock``
+RPL011   no constant-truthy asserts: an ``assert`` whose test is a truthy
+         constant, a conditional on a constant, a non-empty container
+         literal or an f-string can never fail
 =======  ==================================================================
 
 Rules resolve dotted names through each module's import aliases
@@ -584,3 +587,44 @@ class ClockConfinementRule(Rule):
                         "through repro.obs.clock (or record spans via "
                         "repro.obs.trace)",
                     )
+
+
+@register
+class ConstantAssertRule(Rule):
+    """RPL011 — every assert can fail.
+
+    ``assert (x == y, "message")`` asserts a non-empty tuple and always
+    passes; so do ``assert "todo"``, ``assert f"{x} ok"`` and ``assert a
+    if True else b``.  Flags an ``assert`` whose test is a truthy
+    constant, a conditional expression with a constant test, a non-empty
+    tuple/list/dict/set literal or an f-string.
+    """
+
+    id = "RPL011"
+    summary = ("no constant-truthy asserts (truthy constant, constant-test "
+               "conditional, non-empty container literal, f-string)")
+
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Assert):
+                reason = self._always_passes(node.test)
+                if reason:
+                    yield module.finding(
+                        self, node,
+                        f"assert on {reason} can never fail — assert the "
+                        "condition and pass the message after a comma",
+                    )
+
+    @staticmethod
+    def _always_passes(test: ast.expr) -> str:
+        if isinstance(test, ast.Constant):
+            return "a truthy constant" if test.value else ""
+        if isinstance(test, ast.IfExp) and isinstance(test.test, ast.Constant):
+            return "a conditional with a constant test"
+        if isinstance(test, (ast.Tuple, ast.List, ast.Set)) and test.elts:
+            return f"a non-empty {type(test).__name__.lower()} literal"
+        if isinstance(test, ast.Dict) and test.keys:
+            return "a non-empty dict literal"
+        if isinstance(test, ast.JoinedStr):
+            return "an f-string"
+        return ""

@@ -129,20 +129,7 @@ class CacheStats:
         return "\n".join(lines)
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "root": self.root,
-            "entries": self.entries,
-            "total_bytes": self.total_bytes,
-            "by_study": dict(self.by_study),
-            "hits": self.hits,
-            "misses": self.misses,
-            "corrupt": self.corrupt,
-            "corner_entries": self.corner_entries,
-            "corner_bytes": self.corner_bytes,
-            "corner_hits": self.corner_hits,
-            "corner_misses": self.corner_misses,
-            "corner_corrupt": self.corner_corrupt,
-        }
+        return dataclasses.asdict(self)
 
 
 def _canonical_envelope_text(envelope: Dict[str, Any]) -> str:

@@ -1,20 +1,22 @@
 """Typed, serializable results for every experiment of the evaluation.
 
-Each ``run_*`` runner in :mod:`repro.analysis.experiments` historically
-returned an untyped ``Dict[str, object]``.  The classes here give every
-experiment a frozen dataclass result with four guarantees:
+Every ``run_*`` runner in :mod:`repro.analysis.experiments` returns a
+frozen dataclass from this module.  A result class declares its fields,
+a ``study_name`` and a ``__str__`` rendering; :class:`StudyResult` gives
+it the rest:
 
-* **compatibility** — results speak the Mapping protocol and
-  :meth:`StudyResult.to_dict` reproduces the pre-redesign dict payload
-  exactly (same keys, bit-identical values for fixed seeds), so existing
-  ``result["optimal"]["delay_gain"]`` call sites keep working;
+* **payload** — :meth:`StudyResult.to_dict` emits one key per field in
+  declaration order and :meth:`StudyResult.from_payload` rebuilds the
+  fields from their type hints, so the payload format is written once,
+  by the field list.  A class overrides the codec only when its payload
+  differs from its fields;
 * **serialization** — :meth:`StudyResult.to_json` / ``from_json`` round-
   trip losslessly through the tagged encoding of
   :mod:`repro.study.serialize`, NumPy fields included;
 * **provenance** — every result carries a :class:`Provenance` block
   (study, engine, seed, parameters, content hash, package version);
-* **rendering** — ``str(result)`` replaces the old ad-hoc ``format_fig7``
-  / ``format_fulladder`` helpers.
+* **Mapping access** — ``result["optimal"]["delay_gain"]`` reads the
+  payload.
 
 The one documented exception to losslessness: the full-adder study's
 in-memory flow artifacts (placed layouts, GDSII bytes) serialize as
@@ -24,10 +26,13 @@ megabyte object graphs themselves.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field, fields as dataclass_fields
+import typing
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from typing import (
-    Any, ClassVar, Dict, Iterator, List, Mapping, Optional, Tuple, Type,
+    Any, Callable, ClassVar, Dict, Iterator, Mapping, Optional, Tuple, Type,
+    Union,
 )
 
 from ..errors import StudyError
@@ -110,15 +115,73 @@ class Provenance:
 _RESULT_TYPES: Dict[str, Type["StudyResult"]] = {}
 
 
+@functools.lru_cache(maxsize=None)
+def _payload_fields(cls: type) -> Tuple[Tuple[str, Callable[[Any], Any]], ...]:
+    """``(name, decoder)`` of every serialized field of a result class."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, _decoder(hints[f.name])) for f in dataclass_fields(cls)
+                 if f.metadata.get("serialize", True))
+
+
+def _payload_value(cls: type, payload: Any, name: str) -> Any:
+    if not isinstance(payload, Mapping):
+        raise StudyError(f"Malformed {cls.study_name!r} payload: expected an "
+                         f"object, got {type(payload).__name__}")
+    if name not in payload:
+        raise StudyError(f"Malformed {cls.study_name!r} payload: missing "
+                         f"field {name!r}")
+    return payload[name]
+
+
+def _to_payload(value: Any) -> Any:
+    """A field value's payload form: sweep points become dicts, tuples
+    lists (recursively), dicts shallow copies."""
+    if isinstance(value, _PointBase):
+        return value.as_dict()
+    if isinstance(value, tuple):
+        return [_to_payload(item) for item in value]
+    if isinstance(value, dict):
+        return dict(value)
+    return value
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+def _decoder(hint: Any) -> Callable[[Any], Any]:
+    """The inverse of :func:`_to_payload` for a field declared as ``hint``."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Union:                                 # Optional[X]
+        inner = _decoder(next(arg for arg in args if arg is not type(None)))
+        return lambda value: None if value is None else inner(value)
+    if isinstance(hint, type) and issubclass(hint, _PointBase):
+        return lambda value: (value if isinstance(value, hint)
+                              else hint.from_mapping(value))
+    if origin is tuple:
+        if len(args) == 2 and args[1] is Ellipsis:      # Tuple[X, ...]
+            item = _decoder(args[0])
+            return tuple if item is _same else (
+                lambda value: tuple(map(item, value)))
+        items = tuple(map(_decoder, args))
+        return lambda value: tuple(decode(entry)
+                                   for decode, entry in zip(items, value))
+    if origin is dict:
+        return dict
+    return _same
+
+
 @dataclass(frozen=True)
 class StudyResult:
     """Base class of every typed experiment result.
 
-    Subclasses are frozen dataclasses that set ``study_name`` and
-    implement :meth:`to_dict` (the legacy payload) plus
-    :meth:`from_payload` (its inverse).  The Mapping protocol delegates to
-    :meth:`to_dict`, which is what keeps pre-redesign subscription code
-    working unchanged.
+    A subclass is a frozen dataclass that sets ``study_name``, declares
+    its fields and renders itself in ``__str__``.  The payload codec is
+    field-driven: :meth:`to_dict` emits every field not marked
+    ``metadata={"serialize": False}`` and :meth:`from_payload` rebuilds
+    them from the class's type hints.  A subclass overrides either only
+    when its payload differs from its fields.  The Mapping protocol reads
+    :meth:`to_dict`.
     """
 
     provenance: Provenance = field(repr=False, metadata={"serialize": False})
@@ -131,18 +194,22 @@ class StudyResult:
         if name:
             _RESULT_TYPES[name] = cls
 
-    # -- the legacy payload ----------------------------------------------------
+    # -- the payload codec -----------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """The pre-redesign dict payload of this experiment (same keys,
-        bit-identical values for fixed seeds)."""
-        raise NotImplementedError
+        """The payload: one key per serialized field, in declaration order."""
+        return {name: _to_payload(getattr(self, name))
+                for name, _ in _payload_fields(type(self))}
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any],
                      provenance: Provenance) -> "StudyResult":
-        """Rebuild a result from a (decoded) payload mapping."""
-        raise NotImplementedError
+        """Rebuild a result from a (decoded) payload mapping; unknown keys
+        are ignored, a missing field raises :class:`StudyError`."""
+        return cls(provenance=provenance, **{
+            name: decode(_payload_value(cls, payload, name))
+            for name, decode in _payload_fields(cls)
+        })
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any],
@@ -248,7 +315,7 @@ class StudyResult:
 
 
 # ---------------------------------------------------------------------------
-# Shared renderings (the canonical replacements of the format_* helpers)
+# Renderings (they read the payload through the Mapping protocol)
 # ---------------------------------------------------------------------------
 
 def render_fig7(result: Mapping[str, Any]) -> str:
@@ -302,22 +369,6 @@ class Table1Result(StudyResult):
     formatted: str = ""
     mean_absolute_error: float = 0.0
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "rows": list(self.rows),
-            "formatted": self.formatted,
-            "mean_absolute_error": self.mean_absolute_error,
-        }
-
-    @classmethod
-    def from_payload(cls, payload, provenance):
-        return cls(
-            provenance=provenance,
-            rows=tuple(payload["rows"]),
-            formatted=payload["formatted"],
-            mean_absolute_error=payload["mean_absolute_error"],
-        )
-
     def __str__(self) -> str:
         return self.formatted
 
@@ -333,19 +384,6 @@ class Fig3Result(StudyResult):
     compact_area: float = 0.0
     measured_saving: float = 0.0
     paper_saving: Optional[float] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "unit_width": self.unit_width,
-            "baseline_area": self.baseline_area,
-            "compact_area": self.compact_area,
-            "measured_saving": self.measured_saving,
-            "paper_saving": self.paper_saving,
-        }
-
-    @classmethod
-    def from_payload(cls, payload, provenance):
-        return cls(provenance=provenance, **payload)
 
     def __str__(self) -> str:
         paper = ("n/a" if self.paper_saving is None
@@ -370,28 +408,6 @@ class Fig2ImmunityResult(StudyResult):
     baseline_immune: bool = False
     compact_immune: bool = False
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "gate": self.gate,
-            "results": dict(self.results),
-            "formatted": self.formatted,
-            "vulnerable_failure_rate": self.vulnerable_failure_rate,
-            "baseline_immune": self.baseline_immune,
-            "compact_immune": self.compact_immune,
-        }
-
-    @classmethod
-    def from_payload(cls, payload, provenance):
-        return cls(
-            provenance=provenance,
-            gate=payload["gate"],
-            results=dict(payload["results"]),
-            formatted=payload["formatted"],
-            vulnerable_failure_rate=payload["vulnerable_failure_rate"],
-            baseline_immune=payload["baseline_immune"],
-            compact_immune=payload["compact_immune"],
-        )
-
     def __str__(self) -> str:
         return self.formatted
 
@@ -406,28 +422,6 @@ class ImmunitySweepResult(StudyResult):
     formatted: str = ""
     worst_failure_rate_by_technique: Dict[str, float] = field(default_factory=dict)
     compact_always_immune: bool = False
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "points": list(self.points),
-            "formatted": self.formatted,
-            "worst_failure_rate_by_technique": dict(
-                self.worst_failure_rate_by_technique
-            ),
-            "compact_always_immune": self.compact_always_immune,
-        }
-
-    @classmethod
-    def from_payload(cls, payload, provenance):
-        return cls(
-            provenance=provenance,
-            points=tuple(payload["points"]),
-            formatted=payload["formatted"],
-            worst_failure_rate_by_technique=dict(
-                payload["worst_failure_rate_by_technique"]
-            ),
-            compact_always_immune=payload["compact_always_immune"],
-        )
 
     def __str__(self) -> str:
         return self.formatted
@@ -450,27 +444,6 @@ class Fig4Result(StudyResult):
     scheme2_area: float = 0.0
     requires_etched_regions: int = 0
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "gate": self.gate,
-            "pun_contacts": self.pun_contacts,
-            "pun_gates": self.pun_gates,
-            "pdn_contacts": self.pdn_contacts,
-            "pdn_gates": self.pdn_gates,
-            "pun_width_factors": list(self.pun_width_factors),
-            "pdn_width_factors": list(self.pdn_width_factors),
-            "scheme1_area": self.scheme1_area,
-            "scheme2_area": self.scheme2_area,
-            "requires_etched_regions": self.requires_etched_regions,
-        }
-
-    @classmethod
-    def from_payload(cls, payload, provenance):
-        data = dict(payload)
-        data["pun_width_factors"] = tuple(data["pun_width_factors"])
-        data["pdn_width_factors"] = tuple(data["pdn_width_factors"])
-        return cls(provenance=provenance, **data)
-
     def __str__(self) -> str:
         return (
             f"{self.gate}: {self.pun_gates}+{self.pdn_gates} gate stripes, "
@@ -481,9 +454,9 @@ class Fig4Result(StudyResult):
 
 
 class _PointBase:
-    """Shared dict conversion for flat sweep-point dataclasses: field
-    order is the legacy payload's key order, so adding a field updates
-    ``as_dict``/``from_mapping`` and the JSON round-trip in one place."""
+    """Shared dict conversion for flat sweep-point dataclasses: a point
+    field of a result travels as ``as_dict()`` in the payload (field
+    order is key order) and comes back through ``from_mapping``."""
 
     def as_dict(self) -> Dict[str, float]:
         return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
@@ -518,33 +491,6 @@ class Fig7Result(StudyResult):
     inverter_area_gain: float = 0.0
     paper: Dict[str, Any] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "sweep": [point.as_dict() for point in self.sweep],
-            "single_cnt": self.single_cnt.as_dict() if self.single_cnt else None,
-            "optimal": self.optimal.as_dict() if self.optimal else None,
-            "inverter_area_gain": self.inverter_area_gain,
-            "paper": dict(self.paper),
-        }
-
-    @classmethod
-    def from_payload(cls, payload, provenance):
-        def point(data):
-            if data is None:
-                return None
-            if isinstance(data, FO4GainPoint):
-                return data
-            return FO4GainPoint.from_mapping(data)
-
-        return cls(
-            provenance=provenance,
-            sweep=tuple(point(entry) for entry in payload["sweep"]),
-            single_cnt=point(payload["single_cnt"]),
-            optimal=point(payload["optimal"]),
-            inverter_area_gain=payload["inverter_area_gain"],
-            paper=dict(payload["paper"]),
-        )
-
     def __str__(self) -> str:
         return render_fig7(self)
 
@@ -571,31 +517,6 @@ class Fo4TransientResult(StudyResult):
     cmos_delay_ps: float = 0.0
     optimal: Optional[FO4TransientPoint] = None
     batch_size: int = 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "sweep": [point.as_dict() for point in self.sweep],
-            "cmos_delay_ps": self.cmos_delay_ps,
-            "optimal": self.optimal.as_dict() if self.optimal else None,
-            "batch_size": self.batch_size,
-        }
-
-    @classmethod
-    def from_payload(cls, payload, provenance):
-        def point(data):
-            if data is None:
-                return None
-            if isinstance(data, FO4TransientPoint):
-                return data
-            return FO4TransientPoint.from_mapping(data)
-
-        return cls(
-            provenance=provenance,
-            sweep=tuple(point(entry) for entry in payload["sweep"]),
-            cmos_delay_ps=payload["cmos_delay_ps"],
-            optimal=point(payload["optimal"]),
-            batch_size=payload["batch_size"],
-        )
 
     def __str__(self) -> str:
         header = (f"{'CNTs':>5} {'pitch(nm)':>10} {'CNFET(ps)':>10} "
@@ -624,26 +545,8 @@ class CharacterizationResult(StudyResult):
     faster_at_higher_drive: Optional[bool] = None
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "sweep": self.sweep,
-            "formatted": self.formatted,
-            "grid_shape": tuple(self.grid_shape),
-            "points": self.points,
-            "monotone_in_load": self.monotone_in_load,
-            "faster_at_higher_drive": self.faster_at_higher_drive,
-        }
-
-    @classmethod
-    def from_payload(cls, payload, provenance):
-        return cls(
-            provenance=provenance,
-            sweep=payload["sweep"],
-            formatted=payload["formatted"],
-            grid_shape=tuple(payload["grid_shape"]),
-            points=payload["points"],
-            monotone_in_load=payload["monotone_in_load"],
-            faster_at_higher_drive=payload["faster_at_higher_drive"],
-        )
+        # The payload has always carried grid_shape as a tagged tuple.
+        return {**super().to_dict(), "grid_shape": tuple(self.grid_shape)}
 
     def __str__(self) -> str:
         return self.formatted
@@ -659,18 +562,6 @@ class PitchSensitivityResult(StudyResult):
     pitch_high_nm: float = 0.0
     delay_variation: float = 0.0
     paper_variation: float = 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "pitch_low_nm": self.pitch_low_nm,
-            "pitch_high_nm": self.pitch_high_nm,
-            "delay_variation": self.delay_variation,
-            "paper_variation": self.paper_variation,
-        }
-
-    @classmethod
-    def from_payload(cls, payload, provenance):
-        return cls(provenance=provenance, **payload)
 
     def __str__(self) -> str:
         return (
@@ -705,29 +596,23 @@ class FullAdderResult(StudyResult):
     )
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "flow_results": (self.flow_results if self.flow_results is not None
-                             else dict(self.flow_summaries)),
-            "gains": dict(self.gains),
-            "delay_gain": self.delay_gain,
-            "energy_gain": self.energy_gain,
-            "area_gain_scheme1": self.area_gain_scheme1,
-            "area_gain_scheme2": self.area_gain_scheme2,
-            "paper": dict(self.paper),
-        }
+        # The payload key is ``flow_results``: the live artifacts when this
+        # run produced them, their summaries otherwise.
+        payload = super().to_dict()
+        summaries = payload.pop("flow_summaries")
+        live = self.flow_results
+        return {"flow_results": summaries if live is None else live, **payload}
 
     def payload_for_json(self) -> Dict[str, Any]:
-        payload = self.to_dict()
-        payload["flow_results"] = dict(self.flow_summaries)
-        return payload
+        return {**self.to_dict(), "flow_results": dict(self.flow_summaries)}
 
     @classmethod
     def from_payload(cls, payload, provenance):
         from ..flow.designkit import FlowResult, FlowSummary
 
-        raw = payload["flow_results"]
         live: Optional[Dict[int, Any]] = None
         summaries: Dict[int, Any] = {}
+        raw = _payload_value(cls, payload, "flow_results")
         for scheme, entry in dict(raw).items():
             if isinstance(entry, FlowResult):
                 live = live or {}
@@ -740,17 +625,9 @@ class FullAdderResult(StudyResult):
                     f"flow_results[{scheme}] is neither FlowResult nor "
                     f"FlowSummary: {type(entry).__name__}"
                 )
-        return cls(
-            provenance=provenance,
-            flow_summaries=summaries,
-            gains=dict(payload["gains"]),
-            delay_gain=payload["delay_gain"],
-            energy_gain=payload["energy_gain"],
-            area_gain_scheme1=payload["area_gain_scheme1"],
-            area_gain_scheme2=payload["area_gain_scheme2"],
-            paper=dict(payload["paper"]),
-            flow_results=live,
-        )
+        result = super().from_payload(
+            {**payload, "flow_summaries": summaries}, provenance)
+        return replace(result, flow_results=live)
 
     def __str__(self) -> str:
         return render_fulladder(self)
@@ -808,56 +685,6 @@ class CircuitStudyResult(StudyResult):
     vdd: float = 0.0
     pitch_nm: float = 0.0
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "circuit": self.circuit,
-            "source": self.source,
-            "instances": self.instances,
-            "unique_cells": self.unique_cells,
-            "cells": [cell.as_dict() for cell in self.cells],
-            "functional_yield": self.functional_yield,
-            "monte_carlo_yield": self.monte_carlo_yield,
-            "draws": self.draws,
-            "defect_histogram": [list(pair) for pair in self.defect_histogram],
-            "critical_path_delay_s": self.critical_path_delay_s,
-            "critical_path": list(self.critical_path),
-            "output_arrivals_s": dict(self.output_arrivals_s),
-            "total_energy_per_cycle_j": self.total_energy_per_cycle_j,
-            "total_cell_area_lambda2": self.total_cell_area_lambda2,
-            "vdd": self.vdd,
-            "pitch_nm": self.pitch_nm,
-        }
-
-    @classmethod
-    def from_payload(cls, payload, provenance):
-        def cell(entry):
-            if isinstance(entry, CircuitCellReport):
-                return entry
-            return CircuitCellReport.from_mapping(entry)
-
-        return cls(
-            provenance=provenance,
-            circuit=payload["circuit"],
-            source=payload["source"],
-            instances=payload["instances"],
-            unique_cells=payload["unique_cells"],
-            cells=tuple(cell(entry) for entry in payload["cells"]),
-            functional_yield=payload["functional_yield"],
-            monte_carlo_yield=payload["monte_carlo_yield"],
-            draws=payload["draws"],
-            defect_histogram=tuple(
-                (int(count), int(freq))
-                for count, freq in payload["defect_histogram"]
-            ),
-            critical_path_delay_s=payload["critical_path_delay_s"],
-            critical_path=tuple(payload["critical_path"]),
-            output_arrivals_s=dict(payload["output_arrivals_s"]),
-            total_energy_per_cycle_j=payload["total_energy_per_cycle_j"],
-            total_cell_area_lambda2=payload["total_cell_area_lambda2"],
-            vdd=payload["vdd"],
-            pitch_nm=payload["pitch_nm"],
-        )
-
     def __str__(self) -> str:
         header = (f"{'cell':<12} {'uses':>5} {'trials':>7} {'fail rate':>10} "
                   f"{'immune':>7}")
@@ -903,24 +730,6 @@ class EdpSummaryResult(StudyResult):
     paper_edp_gain: float = 0.0
     paper_edap_gain: float = 0.0
     paper_area_saving: float = 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "delay_gain_optimal": self.delay_gain_optimal,
-            "energy_gain_optimal": self.energy_gain_optimal,
-            "area_gain": self.area_gain,
-            "edp_gain_optimal": self.edp_gain_optimal,
-            "edp_gain_single_cnt": self.edp_gain_single_cnt,
-            "edp_gain_best": self.edp_gain_best,
-            "edap_gain_optimal": self.edap_gain_optimal,
-            "paper_edp_gain": self.paper_edp_gain,
-            "paper_edap_gain": self.paper_edap_gain,
-            "paper_area_saving": self.paper_area_saving,
-        }
-
-    @classmethod
-    def from_payload(cls, payload, provenance):
-        return cls(provenance=provenance, **payload)
 
     def __str__(self) -> str:
         return "\n".join([

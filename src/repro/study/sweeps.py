@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (Any, Callable, ClassVar, Dict, List, Mapping, Optional,
                     Sequence, Tuple)
 
@@ -116,24 +116,13 @@ class SweepStudyResult(StudyResult):
     engine: str = ""
     records: Tuple[SweepRecord, ...] = ()
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "spec": self.spec,
-            "engine": self.engine,
-            "records": list(self.records),
-        }
-
     @classmethod
     def from_payload(cls, payload, provenance):
-        engine = payload["engine"]
-        return cls(
-            provenance=provenance,
-            spec=payload["spec"],
-            engine=engine,
-            # Stored payloads come back key-sorted; restore metric order.
-            records=tuple(_record(engine, record.corner, record.metrics)
-                          for record in payload["records"]),
-        )
+        result = super().from_payload(payload, provenance)
+        # Stored payloads come back key-sorted; restore metric order.
+        return replace(result, records=tuple(
+            _record(result.engine, record.corner, record.metrics)
+            for record in result.records))
 
     def metric(self, name: str) -> List[Any]:
         """One metric across all records, in corner order."""

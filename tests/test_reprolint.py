@@ -32,7 +32,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_DIR = REPO_ROOT / "src"
 FIXTURES = REPO_ROOT / "tests" / "fixtures" / "reprolint"
 
-RULE_IDS = [f"RPL{n:03d}" for n in range(1, 11)]
+RULE_IDS = [f"RPL{n:03d}" for n in range(1, 12)]
+#: Rules with fixture files under ``tests/fixtures/reprolint/``.  RPL011's
+#: fixtures are inline snippets (``TestConstantAssertRule``): as files
+#: under ``tests/`` its violations would trip the linter's own CI gate.
+FIXTURE_RULE_IDS = RULE_IDS[:10]
 
 
 def _fixture(rule_id: str, kind: str) -> Path:
@@ -55,19 +59,19 @@ def _rules_hit(path: Path, select=None):
 
 
 class TestRuleFixtures:
-    @pytest.mark.parametrize("rule_id", RULE_IDS)
+    @pytest.mark.parametrize("rule_id", FIXTURE_RULE_IDS)
     def test_violation_fixture_fires(self, rule_id):
         path = _fixture(rule_id, "violation")
         assert path.exists(), f"missing violation fixture for {rule_id}"
         assert _rules_hit(path, select=[rule_id]) == {rule_id}
 
-    @pytest.mark.parametrize("rule_id", RULE_IDS)
+    @pytest.mark.parametrize("rule_id", FIXTURE_RULE_IDS)
     def test_clean_fixture_is_silent(self, rule_id):
         path = _fixture(rule_id, "clean")
         assert path.exists(), f"missing clean fixture for {rule_id}"
         assert _rules_hit(path, select=[rule_id]) == set()
 
-    @pytest.mark.parametrize("rule_id", RULE_IDS)
+    @pytest.mark.parametrize("rule_id", FIXTURE_RULE_IDS)
     def test_clean_fixture_passes_all_rules(self, rule_id):
         # The clean snippets must not trip *any* rule — otherwise a
         # fixture meant as a negative example for one rule hides a
@@ -117,7 +121,7 @@ class TestEngine:
         rules = resolve_rules(ignore=["RPL006", "RPL008"])
         assert [rule.id for rule in rules] == [
             "RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL007",
-            "RPL009", "RPL010",
+            "RPL009", "RPL010", "RPL011",
         ]
 
     def test_resolve_rules_unknown_id(self):
@@ -321,3 +325,46 @@ class TestResultDispatchRule:
             """)
         report = lint_paths([str(tree)], select=["RPL007"])
         assert not report.findings
+
+
+# ---------------------------------------------------------------------------
+# RPL011 on inline snippets
+# ---------------------------------------------------------------------------
+
+
+class TestConstantAssertRule:
+    VIOLATIONS = {
+        "truthy_constant": 'assert "todo"',
+        "constant_conditional": "assert x if True else y",
+        "tuple_with_message": 'assert (x == y, "x differs")',
+        "list": "assert [x]",
+        "dict": "assert {x: y}",
+        "set": "assert {x}",
+        "fstring": 'assert f"{x} matches"',
+    }
+    CLEAN = """\
+        assert x == y, "x differs"
+        assert False, "unreachable"
+        assert ()
+        assert []
+        assert {}
+        assert (x == y)
+        assert x if flag else y
+        assert "abc" in text
+        assert f"{x}" == "1"
+        """
+
+    def _lint(self, tmp_path, source, select=None):
+        snippet = tmp_path / "snippet.py"
+        snippet.write_text(textwrap.dedent(source), encoding="utf-8")
+        return lint_paths([str(snippet)], select=select)
+
+    @pytest.mark.parametrize("case", sorted(VIOLATIONS))
+    def test_violation_fires(self, tmp_path, case):
+        report = self._lint(tmp_path, self.VIOLATIONS[case] + "\n",
+                            select=["RPL011"])
+        assert [f.rule for f in report.findings] == ["RPL011"]
+        assert report.findings[0].line == 1
+
+    def test_clean_snippet_passes_all_rules(self, tmp_path):
+        assert not self._lint(tmp_path, self.CLEAN).findings

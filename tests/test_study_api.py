@@ -2,11 +2,10 @@
 
 Covers the redesign's acceptance criteria:
 
-* every ``run_*`` runner returns a typed, Mapping-compatible result whose
-  ``to_dict()`` equals the pre-redesign dict payload bit-for-bit for
-  fixed seeds (shim equivalence against :mod:`repro.analysis.legacy`);
+* every ``run_*`` runner returns a typed, Mapping-compatible result;
 * every result dataclass survives a lossless JSON round-trip, NumPy
-  scalar/array fields included;
+  scalar/array fields included, and its encoded payload keeps the
+  recorded wire shape (key order and node kinds);
 * :class:`~repro.study.spec.SweepSpec` expands grids/zips and honours the
   PR-1 seed-spawning contract;
 * :class:`~repro.flow.designkit.FlowReport` raises ``FlowError`` on
@@ -14,14 +13,13 @@ Covers the redesign's acceptance criteria:
 """
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
 
-from repro.analysis import legacy
 from repro.analysis.experiments import (
     run_characterization,
+    run_circuit_study,
     run_edp_summary,
     run_fig2_immunity,
     run_fig3_nand3,
@@ -185,52 +183,10 @@ class TestSweepSpec:
 
 
 # ---------------------------------------------------------------------------
-# Shim equivalence: typed to_dict() == the pre-redesign payload
+# Mapping access to the payload
 # ---------------------------------------------------------------------------
 
 class TestShimEquivalence:
-    def _legacy(self, shim, *args, **kwargs):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            return shim(*args, **kwargs)
-
-    def test_fig2_fixed_seed(self):
-        typed = run_fig2_immunity(trials=40, cnts_per_trial=4, seed=7)
-        old = self._legacy(legacy.run_fig2_immunity, trials=40,
-                           cnts_per_trial=4, seed=7)
-        assert _deep_equal(typed.to_dict(), old)
-
-    def test_fig7(self):
-        typed = run_fig7_fo4(max_tubes=8)
-        old = self._legacy(legacy.run_fig7_fo4, max_tubes=8)
-        assert _deep_equal(typed.to_dict(), old)
-
-    def test_fulladder(self):
-        typed = run_fulladder_case_study()
-        old = self._legacy(legacy.run_fulladder_case_study)
-        assert typed.to_dict().keys() == old.keys()
-        for key in old:
-            if key == "flow_results":
-                continue  # fresh FlowResult object graphs; compared below
-            assert _deep_equal(typed.to_dict()[key], old[key]), key
-        for scheme in (1, 2):
-            new_flow = typed.to_dict()["flow_results"][scheme]
-            old_flow = old["flow_results"][scheme]
-            assert new_flow.summarize() == old_flow.summarize()
-
-    def test_fig3_table1_fig4(self):
-        assert _deep_equal(run_fig3_nand3().to_dict(),
-                           self._legacy(legacy.run_fig3_nand3))
-        assert _deep_equal(run_fig4_aoi31().to_dict(),
-                           self._legacy(legacy.run_fig4_aoi31))
-        assert _deep_equal(run_table1().to_dict(),
-                           self._legacy(legacy.run_table1))
-
-    def test_shims_warn_and_return_plain_dicts(self):
-        with pytest.warns(DeprecationWarning):
-            payload = legacy.run_fig3_nand3()
-        assert type(payload) is dict
-
     def test_mapping_compatibility(self):
         result = run_fig7_fo4(max_tubes=4)
         assert result["optimal"]["delay_gain"] == result.optimal.delay_gain
@@ -243,6 +199,76 @@ class TestShimEquivalence:
 # ---------------------------------------------------------------------------
 # JSON round-trip of every result dataclass
 # ---------------------------------------------------------------------------
+
+#: The encoded payload of every ``TestJsonRoundTrip`` fixture entry:
+#: ``(key, node kind)`` in emission order.  A list's kind also names its
+#: first element's kind.
+WIRE_SHAPES = {
+    "table1": [("rows", "list:dataclass"), ("formatted", "scalar"),
+               ("mean_absolute_error", "scalar")],
+    "fig2": [("gate", "scalar"), ("results", "dict"),
+             ("formatted", "scalar"), ("vulnerable_failure_rate", "scalar"),
+             ("baseline_immune", "scalar"), ("compact_immune", "scalar")],
+    "immunity_sweep": [("points", "list:dataclass"), ("formatted", "scalar"),
+                       ("worst_failure_rate_by_technique", "dict"),
+                       ("compact_always_immune", "scalar")],
+    "fig3": [("unit_width", "scalar"), ("baseline_area", "scalar"),
+             ("compact_area", "scalar"), ("measured_saving", "scalar"),
+             ("paper_saving", "scalar")],
+    "fig4": [("gate", "scalar"), ("pun_contacts", "scalar"),
+             ("pun_gates", "scalar"), ("pdn_contacts", "scalar"),
+             ("pdn_gates", "scalar"), ("pun_width_factors", "list:scalar"),
+             ("pdn_width_factors", "list:scalar"), ("scheme1_area", "scalar"),
+             ("scheme2_area", "scalar"),
+             ("requires_etched_regions", "scalar")],
+    "fig7": [("sweep", "list:dict"), ("single_cnt", "dict"),
+             ("optimal", "dict"), ("inverter_area_gain", "scalar"),
+             ("paper", "dict")],
+    "fo4_transient": [("sweep", "list:dict"), ("cmos_delay_ps", "scalar"),
+                      ("optimal", "dict"), ("batch_size", "scalar")],
+    "characterization": [("sweep", "dataclass"), ("formatted", "scalar"),
+                         ("grid_shape", "tuple"), ("points", "scalar"),
+                         ("monotone_in_load", "scalar"),
+                         ("faster_at_higher_drive", "scalar")],
+    "pitch": [("pitch_low_nm", "scalar"), ("pitch_high_nm", "scalar"),
+              ("delay_variation", "scalar"), ("paper_variation", "scalar")],
+    "fig8": [("flow_results", "map"), ("gains", "map"),
+             ("delay_gain", "scalar"), ("energy_gain", "scalar"),
+             ("area_gain_scheme1", "scalar"), ("area_gain_scheme2", "scalar"),
+             ("paper", "dict")],
+    "edp": [("delay_gain_optimal", "scalar"), ("energy_gain_optimal", "scalar"),
+            ("area_gain", "scalar"), ("edp_gain_optimal", "scalar"),
+            ("edp_gain_single_cnt", "scalar"), ("edp_gain_best", "scalar"),
+            ("edap_gain_optimal", "scalar"), ("paper_edp_gain", "scalar"),
+            ("paper_edap_gain", "scalar"), ("paper_area_saving", "scalar")],
+    "sweep": [("spec", "dataclass"), ("engine", "scalar"),
+              ("records", "list:dataclass")],
+    "circuit": [("circuit", "scalar"), ("source", "scalar"),
+                ("instances", "scalar"), ("unique_cells", "scalar"),
+                ("cells", "list:dict"), ("functional_yield", "scalar"),
+                ("monte_carlo_yield", "scalar"), ("draws", "scalar"),
+                ("defect_histogram", "list:list:scalar"),
+                ("critical_path_delay_s", "scalar"),
+                ("critical_path", "list:scalar"),
+                ("output_arrivals_s", "dict"),
+                ("total_energy_per_cycle_j", "scalar"),
+                ("total_cell_area_lambda2", "scalar"), ("vdd", "scalar"),
+                ("pitch_nm", "scalar")],
+}
+
+
+def _node_kind(node) -> str:
+    """The kind of one encoded node: tuple, list, dict, map, dataclass or
+    scalar; a non-empty list appends its first element's kind."""
+    if isinstance(node, list):
+        return "list:" + _node_kind(node[0]) if node else "list"
+    if isinstance(node, dict):
+        for tag in ("__tuple__", "__map__", "__dataclass__"):
+            if tag in node:
+                return tag.strip("_")
+        return "dict"
+    return "scalar"
+
 
 class TestJsonRoundTrip:
     @pytest.fixture(scope="class")
@@ -269,6 +295,8 @@ class TestJsonRoundTrip:
                 ),
                 engine="immunity", trials=20, seed=7,
             ),
+            "circuit": run_circuit_study("adder:2", trials=50, seed=7,
+                                         draws=500),
         }
 
     def test_every_result_roundtrips_losslessly(self, results):
@@ -277,6 +305,17 @@ class TestJsonRoundTrip:
             assert type(restored) is type(result), name
             assert restored == result, name
             assert restored.provenance == result.provenance, name
+
+    def test_wire_shape_is_pinned(self, results):
+        """The encoded payload keeps its key order and node kinds: the
+        result files, the cache store and the service's ``/result`` bytes
+        all depend on it, and a reordered field or a changed field type
+        would otherwise move it silently."""
+        assert set(WIRE_SHAPES) == set(results)
+        for name, result in results.items():
+            payload = result.to_json_dict()["payload"]
+            shape = [(key, _node_kind(node)) for key, node in payload.items()]
+            assert shape == WIRE_SHAPES[name], name
 
     def test_characterization_numpy_fields_survive(self, results):
         result = results["characterization"]
@@ -327,6 +366,18 @@ class TestJsonRoundTrip:
             StudyResult.from_json_dict(document)
         document["provenance"] = "not an object"
         with pytest.raises(StudyError):
+            StudyResult.from_json_dict(document)
+        # Unknown payload keys are dropped too; a missing payload field is
+        # a StudyError naming the study and the field, never a default.
+        document = json.loads(run_fig3_nand3().to_json())
+        document["payload"]["added_in_v2"] = "future"
+        assert StudyResult.from_json_dict(document) == run_fig3_nand3()
+        del document["payload"]["compact_area"]
+        with pytest.raises(StudyError, match="'fig3'.*'compact_area'"):
+            StudyResult.from_json_dict(document)
+        document = json.loads(run_fig7_fo4(max_tubes=4).to_json())
+        del document["payload"]["optimal"]
+        with pytest.raises(StudyError, match="'fig7'.*'optimal'"):
             StudyResult.from_json_dict(document)
 
     def test_cli_payload_matches_to_dict(self, results):
