@@ -15,9 +15,9 @@ Two engines implement identical integration semantics:
 
 * the **batch engine** (default) lowers each :class:`SimulationCase` once
   into NumPy structure arrays (see *Precompiled array layout* below) and
-  integrates every case of a batch as one ``(batch, nets)`` state matrix
-  with array operations — one :func:`run_transient_batch` call sweeps many
-  stimuli/corners (supply voltage, CNT pitch / tubes per device, load
+  integrates every case of a batch as one state matrix (a column per
+  case) with array operations — one :func:`run_transient_batch` call
+  sweeps many stimuli/corners (supply voltage, CNT pitch / tubes per device, load
   capacitance, input slew) in a single vectorized integration;
 * the **loop engine** (``engine="loop"``) is the compatibility path: one
   case at a time, one device at a time, through the scalar
@@ -38,36 +38,54 @@ the design.
 Precompiled array layout
 ------------------------
 :class:`CompiledTransientBatch` lowers ``B`` topology-identical cases with
-``T`` transistors, ``N`` nets (``I`` of them integrated) and ``S`` driven
-source nets into:
+``T`` transistors, ``N`` nets (``I`` of them integrated), ``S`` driven
+source nets and ``R`` contributions on the busiest net into a *step
+plan*.  Arrays carry the batch axis last, so every per-step operand is
+contiguous.  With ``K = 1 + I``:
 
-===================  ==========  ====================================
-array                shape       contents
-===================  ==========  ====================================
-``gate/drain/src``   ``(T,)``    net index of each device terminal
-``is_n``             ``(T,)``    device conduction polarity
-``prefactor``        ``(B, T)``  saturation current at full drive [A]
-``vth``              ``(B, T)``  threshold voltage magnitude [V]
-``nominal_ov``       ``(B, T)``  overdrive the prefactor is quoted at
-``alpha``            ``(B, T)``  alpha-power saturation index
-``capacitance``      ``(B, I)``  lumped capacitance per integrated net
-``pwl times/vals``   ``(B,S,P)`` padded source breakpoints
-``voltages``         ``(B, N)``  the integration state matrix
-===================  ==========  ====================================
+=======================  ================  ==============================
+array                    shape             contents
+=======================  ================  ==============================
+``initial_state``        ``(2 (1+N), B)``  ``[v | -v]``; rows of ``v``:
+                                           supply charge, integrated
+                                           nets, sources, rails
+``terminal_rows``        ``(3T,)``         state row of each gate, drain
+                                           and source terminal; p-type
+                                           rows index the negated half
+``prefactor``            ``(T, B)``        saturation current at full
+                                           drive [A]
+``vth``                  ``(T, B)``        threshold voltage magnitude
+``nominal_ov``           ``(T, B)``        overdrive of the prefactor
+``alpha``                ``(T, B)``        alpha-power saturation index
+``accumulation_table``   ``(1+R, K+1)``    rows of ``[x | -x | 0]``
+                                           summed into the supply and
+                                           each integrated net, in the
+                                           loop engine's order
+``scale``                ``(K, B)``        1.0 (supply), capacitances
+``floor/ceiling``        ``(K, B)``        rail clamp (``-/+inf`` for
+                                           the supply charge)
+``pwl times/vals``       ``(B, S, P)``     padded source breakpoints
+=======================  ================  ==============================
 
-Per-case quantities (``prefactor`` .. ``capacitance``) carry the batch
-axis, so corners may vary device parameters, loading, supply and stimuli;
-the topology (net list, device connectivity and polarity, driven nets)
-must match across the batch.
+Per-case quantities carry the batch axis, so corners may vary device
+parameters, loading, supply and stimuli; the topology (net list, device
+connectivity and polarity, driven nets) must match across the batch.
+One sub-step (:meth:`CompiledTransientBatch._step_plan`) is a fixed
+sequence of ``out=`` ufunc calls on buffers allocated once per
+:meth:`~CompiledTransientBatch.integrate`; ``docs/architecture.md``
+explains why each is bit-identical to the loop engine.
 
 Stability sub-stepping rule
 ---------------------------
 Output samples land every ``time_step``; internally each sample interval
 is integrated in sub-steps of ``min(time_step, max(2 fs, stop_time /
-40000))``.  A few tens of thousands of sub-steps per run keeps the
-explicit integration stable for the RC time constants of gate-sized
-circuits without making long runs unaffordable; the rule lives in
-:func:`stability_substep` and is shared verbatim by both engines.
+SUBSTEP_BUDGET))``: at most ``SUBSTEP_BUDGET`` (40000) sub-steps per run,
+unless ``time_step`` is finer still (a sub-step is never longer than
+``time_step``), and none shorter than 2 fs unless ``time_step`` is.
+That keeps the explicit integration stable for the RC time constants of
+gate-sized circuits without making long runs unaffordable; the rule
+lives in :func:`stability_substep` and is shared verbatim by both
+engines.
 
 Batch-axis semantics
 --------------------
@@ -120,14 +138,19 @@ SUBSTEP_BUDGET = 40000.0
 def stability_substep(stop_time: float, time_step: float) -> float:
     """The shared sub-step rule of both engines.
 
-    A few hundred sub-steps per output sample keeps the explicit
-    integration stable for the RC time constants of gate-sized circuits
-    without making long runs unaffordable:
+    At most ``SUBSTEP_BUDGET`` sub-steps per run, unless ``time_step`` is
+    finer still: a sub-step is never longer than ``time_step``, and never
+    shorter than ``MINIMUM_SUBSTEP_S`` unless ``time_step`` is.
+    How many land in one output sample depends on the caller's
+    ``time_step``: the characterisation grids sample every ``stop / 8000``
+    or coarser, so they take 5 or more (5 at the paper's settings).
 
     >>> stability_substep(stop_time=100e-12, time_step=1e-12) == 2.5e-15
     True
     >>> stability_substep(stop_time=4e-12, time_step=1e-12)  # 2 fs floor
     2e-15
+    >>> stability_substep(stop_time=100e-12, time_step=1e-15)  # <= time_step
+    1e-15
     """
     return min(time_step, max(MINIMUM_SUBSTEP_S, stop_time / SUBSTEP_BUDGET))
 
@@ -322,45 +345,82 @@ class CompiledTransientBatch:
         ]
         self._validate_topology()
 
-        index = {net: i for i, net in enumerate(self.net_names)}
         batch = len(self.cases)
         self.batch_size = batch
-
-        # -- terminals ----------------------------------------------------
         transistors = first.transistors
-        self.gate_idx = np.array([index[t.gate] for t in transistors], dtype=np.intp)
-        self.drain_idx = np.array([index[t.drain] for t in transistors], dtype=np.intp)
-        self.source_idx = np.array([index[t.source] for t in transistors], dtype=np.intp)
-        self.is_n = np.array([t.polarity == "n" for t in transistors], dtype=bool)
+        devices = len(transistors)
 
-        # -- per-case device parameters (B, T) ----------------------------
-        rows = [
-            [_device_power_law(t.device) for t in case.netlist.transistors]
-            for case in self.cases
-        ]
-        params = np.array(rows, dtype=float)          # (B, T, 4)
-        if params.size:
-            self.prefactor = np.ascontiguousarray(params[:, :, 0])
-            self.vth = np.ascontiguousarray(params[:, :, 1])
-            self.nominal_ov = np.ascontiguousarray(params[:, :, 2])
-            self.alpha = np.ascontiguousarray(params[:, :, 3])
-        else:
-            shape = (batch, 0)
-            self.prefactor = np.zeros(shape)
-            self.vth = np.zeros(shape)
-            self.nominal_ov = np.ones(shape)
-            self.alpha = np.ones(shape)
-
-        # -- integrated nets and their capacitance (B, I) -----------------
+        # -- state rows: [supply charge | integrated | sources | rails] ---
         driven = set(self.source_nets)
         self.integrated_nets = [
             net for net in self._topology_nets
             if net not in (VDD, GND) and net not in driven
         ]
-        self.integrated_idx = np.array(
-            [index[net] for net in self.integrated_nets], dtype=np.intp
+        placed = driven.union(self.integrated_nets)
+        order = self.integrated_nets + self.source_nets + [
+            net for net in self.net_names if net not in placed
+        ]
+        row = {net: 1 + i for i, net in enumerate(order)}
+        self.waveform_col = {net: row[net] - 1 for net in self.net_names}
+        half = 1 + len(order)
+        block = 1 + len(self.integrated_nets)
+        self._half, self._block = half, block
+        self._source_rows = slice(block, block + len(self.source_nets))
+
+        # -- terminal reads in sigma space: a p-type device's terminals
+        # read the negated half, so both polarities conduct for a high
+        # gate relative to the lower of drain and source.
+        flip = [0 if t.polarity == "n" else half for t in transistors]
+        self.terminal_rows = np.array(
+            [row[t.gate] + f for t, f in zip(transistors, flip)]
+            + [row[t.drain] + f for t, f in zip(transistors, flip)]
+            + [row[t.source] + f for t, f in zip(transistors, flip)],
+            dtype=np.intp,
         )
-        self.capacitance = np.array(
+
+        # -- per-case device parameters (T, B) ----------------------------
+        params = np.array(
+            [
+                [_device_power_law(t.device) for t in case.netlist.transistors]
+                for case in self.cases
+            ],
+            dtype=float,
+        ).reshape(batch, devices, 4)
+        self.prefactor, self.vth, self.nominal_ov, self.alpha = (
+            np.ascontiguousarray(params[:, :, k].T) for k in range(4)
+        )
+
+        # -- accumulation table (1 + R, K + 1) ----------------------------
+        # ``contributions`` holds ``[x | -x | 0]`` where ``x`` is each
+        # device's signed current in sigma space; the drain current is
+        # ``+x`` for n-type and ``-x`` for p-type.  Column 0 collects the
+        # supply current, column 1 + i integrated net i; entries follow the
+        # loop engine's interleaved slot order (device by device, drain
+        # then source), so summing the rank slabs in order reproduces its
+        # sequential ``+=`` exactly.  Row 0, short columns and the spare
+        # last column point at the trailing zero: every sum starts from
+        # +0.0, and the spare column keeps the rank axis out of NumPy's
+        # inner reduction loop, which would sum it pairwise.
+        pad = 2 * devices
+        entries: List[List[int]] = [[] for _ in range(block)]
+        for k, t in enumerate(transistors):
+            plus, minus = (k, devices + k) if t.polarity == "n" else (devices + k, k)
+            if row[t.drain] < block:
+                entries[row[t.drain]].append(minus)
+            if row[t.source] < block:
+                entries[row[t.source]].append(plus)
+            if t.drain == VDD:
+                entries[0].append(plus)
+            if t.source == VDD:
+                entries[0].append(minus)
+        ranks = max(len(column) for column in entries)
+        self.accumulation_table = np.full((1 + ranks, block + 1), pad, dtype=np.intp)
+        for col, column in enumerate(entries):
+            self.accumulation_table[1:1 + len(column), col] = column
+
+        # -- node update: scale and clamp bounds per block row (K, B) -----
+        self.vdd = np.array([case.netlist.vdd for case in self.cases])
+        capacitance = np.array(
             [
                 [
                     max(case.netlist.node_capacitance(net), MINIMUM_NODE_CAPACITANCE)
@@ -369,76 +429,29 @@ class CompiledTransientBatch:
                 for case in self.cases
             ],
             dtype=float,
-        ).reshape(batch, len(self.integrated_nets))
+        ).reshape(batch, block - 1)
+        self.scale = np.vstack([np.ones((1, batch)), capacitance.T])
+        self.floor = np.vstack([
+            np.full((1, batch), -np.inf),
+            np.broadcast_to(-0.1 * self.vdd, (block - 1, batch)),
+        ])
+        self.ceiling = np.vstack([
+            np.full((1, batch), np.inf),
+            np.broadcast_to(1.1 * self.vdd, (block - 1, batch)),
+        ])
 
-        # -- accumulation schedule ----------------------------------------
-        # The loop engine visits device terminals in interleaved order
-        # (drain then source, device by device) and accumulates each net's
-        # current with sequential ``+=``.  Terminal "slots" reproduce that
-        # order: slot 2k is device k's drain, slot 2k+1 its source.  Slots
-        # are grouped by *occurrence rank* per net — rank r holds each
-        # net's (r+1)-th contribution — so every rank is one buffered
-        # fancy-index add (all nets unique within a rank) and the per-net
-        # addition order matches the scalar engine exactly.
-        integrated_pos = {net: i for i, net in enumerate(self.integrated_nets)}
-        slot_targets: List[int] = []
-        for t in transistors:
-            slot_targets.append(integrated_pos.get(t.drain, -1))
-            slot_targets.append(integrated_pos.get(t.source, -1))
-        occurrence: Dict[int, int] = {}
-        ranked: Dict[int, List[Tuple[int, int]]] = {}
-        for slot, target in enumerate(slot_targets):
-            if target < 0:
-                continue
-            rank = occurrence.get(target, 0)
-            occurrence[target] = rank + 1
-            ranked.setdefault(rank, []).append((slot, target))
-        # Each rank entry is (device positions, signed-contribution signs,
-        # target net positions): slot 2k (a drain) contributes -i_drain[k],
-        # slot 2k+1 (a source) contributes +i_drain[k].
-        self.rank_schedule: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = [
-            (
-                np.array([slot >> 1 for slot, _ in pairs], dtype=np.intp),
-                np.array([1.0 if slot & 1 else -1.0 for slot, _ in pairs]),
-                np.array([target for _, target in pairs], dtype=np.intp),
-            )
-            for rank, pairs in sorted(ranked.items())
-        ]
-
-        # Supply accounting: the loop engine folds the Vdd-terminal
-        # contributions in the same interleaved order, so keep (sign,
-        # device) pairs in slot order: +i_drain for a drain on Vdd,
-        # -i_drain (= i_source) for a source on Vdd.
-        self.supply_terms: List[Tuple[float, int]] = []
-        for position, t in enumerate(transistors):
-            if t.drain == VDD:
-                self.supply_terms.append((+1.0, position))
-            if t.source == VDD:
-                self.supply_terms.append((-1.0, position))
-
-        # -- per-case rails, clamp bounds, initial state ------------------
-        self.vdd = np.array([case.netlist.vdd for case in self.cases])
-        self.clamp_low = np.array(
-            [-0.1 * case.netlist.vdd for case in self.cases]
-        )[:, None]
-        self.clamp_high = np.array(
-            [1.1 * case.netlist.vdd for case in self.cases]
-        )[:, None]
-
-        self.initial_voltages = np.zeros((batch, len(self.net_names)))
-        self.initial_voltages[:, index[VDD]] = self.vdd
+        # -- initial state (2 * half, B): [v | -v] ------------------------
+        positive = np.zeros((half, batch))
+        positive[row[VDD]] = self.vdd
         for case_i, case in enumerate(self.cases):
             conditions = dict(case.initial_conditions or {})
             for net in self.integrated_nets:
-                self.initial_voltages[case_i, index[net]] = conditions.get(net, 0.0)
+                positive[row[net], case_i] = conditions.get(net, 0.0)
             for net in self.source_nets:
-                self.initial_voltages[case_i, index[net]] = \
-                    case.sources[net].value(0.0)
+                positive[row[net], case_i] = case.sources[net].value(0.0)
+        self.initial_state = np.concatenate([positive, -positive])
 
         # -- padded PWL tables (B, S, P) ----------------------------------
-        self.source_cols = np.array(
-            [index[net] for net in self.source_nets], dtype=np.intp
-        )
         longest = 1
         for case in self.cases:
             for net in self.source_nets:
@@ -555,38 +568,6 @@ class CompiledTransientBatch:
 
     # -- integration ------------------------------------------------------
 
-    def _device_currents(self, voltages: np.ndarray) -> np.ndarray:
-        """Current out of each device's drain terminal: ``(B, T)``.
-
-        Elementwise mirror of the loop engine's ``_channel_current``: the
-        conduction direction is folded into ``(vgs, vds)`` relative to the
-        low (n-type) or high (p-type) channel terminal, and the sign of the
-        drain current follows the terminal ordering.  Inactive lanes
-        (``overdrive <= 0`` or ``vds <= 0``) are masked to exactly zero.
-        """
-        gate_v = voltages[:, self.gate_idx]
-        drain_v = voltages[:, self.drain_idx]
-        source_v = voltages[:, self.source_idx]
-        high = np.maximum(drain_v, source_v)
-        low = np.minimum(drain_v, source_v)
-        vds = high - low
-        vgs = np.where(self.is_n, gate_v - low, high - gate_v)
-        overdrive = vgs - self.vth
-        active = (overdrive > 0.0) & (vds > 0.0)
-        # Inactive lanes get a harmless positive base so the power/division
-        # lanes never see zero or negative operands.
-        safe_overdrive = np.where(active, overdrive, 1.0)
-        ratio = safe_overdrive / self.nominal_ov
-        saturation = self.prefactor * np.power(ratio, self.alpha)
-        triode_ratio = vds / safe_overdrive
-        magnitude = np.where(
-            vds >= overdrive,
-            saturation,
-            saturation * triode_ratio * (2.0 - triode_ratio),
-        )
-        magnitude = np.where(active, magnitude, 0.0)
-        return np.where(drain_v >= source_v, magnitude, -magnitude)
-
     def integrate(self, stop_time: float, time_step: float) -> List[TransientResult]:
         """Integrate every case of the batch over one shared time base."""
         if stop_time <= 0 or time_step <= 0:
@@ -614,69 +595,133 @@ class CompiledTransientBatch:
                 count += 1
                 time += dt
             steps_per_segment.append(count)
+        changed: Optional[List[bool]] = None
         if self.source_nets and step_times:
-            changed, source_values = self._compressed_source_schedule(step_times)
-        else:
-            source_values = None
-            changed = None
+            mask, values = self._compressed_source_schedule(step_times)
+            changed = mask.tolist()
+            levels = values.transpose(0, 2, 1)                 # (C, S, B)
+            source_rows = np.stack([levels, -levels], axis=1)  # (C, 2, S, B)
+        # Sub-step sizes as 0-d arrays: a Python float operand is converted
+        # on every ufunc call.
+        sizes: Dict[float, np.ndarray] = {}
+        step_dts = [sizes.setdefault(dt, np.array(dt)) for dt in step_sizes]
 
-        batch = self.batch_size
-        voltages = self.initial_voltages.copy()
-        waveforms = np.empty((batch, sample_count, len(self.net_names)))
-        supply_charge = np.zeros(batch)
-        integrated = self.integrated_idx
-        capacitance = self.capacitance
-        source_cols = self.source_cols
-        supply = np.zeros(batch)
-        currents = np.zeros((batch, integrated.size))
+        advance, state = self._step_plan()
+        halves = state.reshape(2, self._half, self.batch_size)
+        recorded = state[1:self._half]                    # (N, B), net rows
+        waveforms = np.empty((sample_count,) + recorded.shape)
 
         step = 0
         write_index = 0
         for sample_index in range(sample_count):
-            waveforms[:, sample_index, :] = voltages
+            waveforms[sample_index] = recorded
             if sample_index == sample_count - 1:
                 break
             for _ in range(steps_per_segment[sample_index]):
-                dt = step_sizes[step]
-                if source_values is not None and changed[step]:
-                    voltages[:, source_cols] = source_values[write_index]
+                if changed is not None and changed[step]:
+                    halves[:, self._source_rows] = source_rows[write_index]
                     write_index += 1
-                drain_current = self._device_currents(voltages)
-                if self.supply_terms:
-                    supply.fill(0.0)
-                    for sign, device in self.supply_terms:
-                        if sign > 0:
-                            supply += drain_current[:, device]
-                        else:
-                            supply -= drain_current[:, device]
-                    supply_charge += supply * dt
-                currents.fill(0.0)
-                for devices, signs, targets in self.rank_schedule:
-                    currents[:, targets] += drain_current[:, devices] * signs
-                np.multiply(currents, dt, out=currents)
-                np.divide(currents, capacitance, out=currents)
-                node_voltages = voltages[:, integrated]
-                np.add(node_voltages, currents, out=node_voltages)
-                np.maximum(node_voltages, self.clamp_low, out=node_voltages)
-                np.minimum(node_voltages, self.clamp_high, out=node_voltages)
-                voltages[:, integrated] = node_voltages
+                advance(step_dts[step])
                 step += 1
 
-        results: List[TransientResult] = []
-        for case_i in range(batch):
-            case_waveforms = {
-                net: waveforms[case_i, :, net_i]
-                for net_i, net in enumerate(self.net_names)
-            }
-            results.append(
-                TransientResult(
-                    time=times,
-                    waveforms=case_waveforms,
-                    supply_charge=float(supply_charge[case_i]),
-                    vdd=float(self.vdd[case_i]),
-                )
+        supply_charge = state[0]
+        return [
+            TransientResult(
+                time=times,
+                waveforms={
+                    net: waveforms[:, self.waveform_col[net], case_i]
+                    for net in self.net_names
+                },
+                supply_charge=float(supply_charge[case_i]),
+                vdd=float(self.vdd[case_i]),
             )
-        return results
+            for case_i in range(self.batch_size)
+        ]
+
+    def _step_plan(self):
+        """Fresh state and buffers, and the fused sub-step that updates them.
+
+        Returns ``(advance, state)``: ``advance(dt)`` moves every case one
+        sub-step of ``dt`` (a 0-d array) forward, in place on ``state``.
+        Each call is a fixed sequence of ``out=`` ufunc calls on the
+        preallocated buffers below; it is the elementwise mirror of the
+        loop engine's ``_channel_current`` and node update
+        (``docs/architecture.md`` explains why each step is bit-identical).
+        ``take`` runs in ``mode="wrap"`` (the indices are in range) because
+        the default mode copies through a temporary instead of writing
+        ``out`` directly.
+        """
+        batch = self.batch_size
+        devices = self.prefactor.shape[0]
+        block = self._block
+        state = self.initial_state.copy()                  # (2 * half, B)
+        charge_and_nets = state[:block]
+        mirror = state[self._half:self._half + block]
+        terminal_rows = self.terminal_rows
+        table = self.accumulation_table
+        prefactor, vth = self.prefactor, self.vth
+        nominal_ov, alpha = self.nominal_ov, self.alpha
+        scale, floor, ceiling = self.scale, self.floor, self.ceiling
+
+        terms = np.empty((3 * devices, batch))
+        gate = terms[:devices]
+        drain = terms[devices:2 * devices]
+        source = terms[2 * devices:]
+        overdrive = np.empty((devices, batch))
+        conducting = np.empty((devices, batch))
+        span = np.empty((devices, batch))
+        triode = np.empty((devices, batch))
+        current = np.empty((devices, batch))
+        contributions = np.zeros((2 * devices + 1, batch))
+        forward = contributions[:devices]
+        backward = contributions[devices:2 * devices]
+        gathered = np.empty(table.shape + (batch,))
+        sums = np.empty((table.shape[1], batch))
+        increment = sums[:block]
+        # Constants as 0-d arrays, like the sub-step sizes: a Python float
+        # operand is converted on every ufunc call.
+        zero, two = np.array(0.0), np.array(2.0)
+        # Any positive overdrive is >= the smallest subnormal, so
+        # ``max(overdrive, tiny)`` is the overdrive itself on conducting
+        # lanes and a positive divisor (of a zero triode numerator)
+        # elsewhere.
+        tiny = np.array(np.nextafter(0.0, 1.0))
+
+        def advance(dt: np.ndarray) -> None:
+            state.take(terminal_rows, axis=0, out=terms, mode="wrap")
+            # vgs = g' - min(d', s'); vds = |d' - s'|  (sigma space)
+            np.minimum(drain, source, out=overdrive)
+            np.subtract(gate, overdrive, out=overdrive)
+            np.subtract(overdrive, vth, out=overdrive)
+            np.maximum(overdrive, zero, out=conducting)
+            np.maximum(overdrive, tiny, out=overdrive)
+            np.subtract(drain, source, out=span)
+            # triode ratio vds / overdrive, exactly 1 in saturation and 0
+            # on lanes that do not conduct
+            np.absolute(span, out=triode)
+            np.minimum(triode, conducting, out=triode)
+            np.divide(triode, overdrive, out=triode)
+            # 0 ** alpha is 0 on lanes that do not conduct (the device
+            # models validate alpha > 0)
+            np.divide(conducting, nominal_ov, out=current)
+            np.power(current, alpha, out=current)
+            np.multiply(prefactor, current, out=current)
+            np.multiply(current, triode, out=current)
+            np.subtract(two, triode, out=triode)
+            np.multiply(current, triode, out=current)
+            np.copysign(current, span, out=forward)
+            np.negative(forward, out=backward)
+            # per-net and supply sums, rank slab by rank slab from +0.0
+            contributions.take(table, axis=0, out=gathered, mode="wrap")
+            np.add.reduce(gathered, axis=0, out=sums)
+            np.multiply(increment, dt, out=increment)
+            np.divide(increment, scale, out=increment)
+            np.add(charge_and_nets, increment, out=charge_and_nets)
+            np.maximum(charge_and_nets, floor, out=charge_and_nets)
+            np.minimum(charge_and_nets, ceiling, out=charge_and_nets)
+            np.negative(charge_and_nets, out=mirror)
+
+        return advance, state
 
 
 def run_transient_batch(cases: Sequence[SimulationCase], stop_time: float,

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from repro.cells import (
+    MEASURED_LOADS_F,
+    MEASURED_SLEW_S,
     characterize_sweep,
     cnfet_technology,
     gate_transistor_netlist,
     measured_timing_models,
     sensitizing_assignment,
 )
+from repro.cells.characterize import _plan_cell_cases
 from repro.circuit import (
     CompiledTransientBatch,
     PiecewiseLinearSource,
@@ -26,6 +29,7 @@ from repro.circuit import (
     simulate_inverter_chain_batch,
     step_source,
 )
+from repro.circuit.netlist import VDD, TransistorNetlist
 from repro.devices import FO4_GATE_WIDTH_NM, calibrated_cnfet_parameters
 from repro.errors import SimulationError
 from repro.logic import standard_gate
@@ -50,9 +54,12 @@ def _loop(case, stop=STOP, step=STEP):
 
 
 def _assert_identical(loop, batch):
+    """Equal waveforms down to the byte: ``np.array_equal`` alone treats
+    -0.0 and 0.0 as equal, so the raw bytes are compared too."""
     assert set(loop.waveforms) == set(batch.waveforms)
     for net in loop.waveforms:
         assert np.array_equal(loop.waveforms[net], batch.waveforms[net]), net
+        assert loop.waveforms[net].tobytes() == batch.waveforms[net].tobytes(), net
     assert loop.supply_charge == batch.supply_charge
     assert loop.vdd == batch.vdd
 
@@ -91,6 +98,70 @@ class TestBitIdentity:
         case = SimulationCase(netlist, sources, {"out": 1.0})
         batch = run_transient_batch([case], STOP, STEP)[0]
         _assert_identical(_loop(case), batch)
+
+    def test_nand3_corner_grid_matches_loop(self):
+        """A 12-corner NAND3 grid with per-case drive, load and supply:
+        the output net takes 4 contributions (rank 4) and the supply 3
+        p-type terms.  Side inputs sit at mid-rail, so every device
+        conducts and all of those terms are nonzero, and the output
+        starts above the rail, so the p-type devices back-drive the
+        supply.  Batch == loop byte for byte on every corner."""
+        gate = standard_gate("NAND3")
+        pin = gate.inputs[0]
+        cases = []
+        for drive in (1.0, 2.0):
+            for load in (1e-15, 4e-15):
+                for vdd in (1.0, 0.9, 0.8):
+                    netlist = gate_transistor_netlist(
+                        gate, cnfet_technology(vdd=vdd), drive_strength=drive,
+                        load_capacitance=load)
+                    sources = {pin: pulse_source(vdd, 3e-12, 2e-12, 8e-12)}
+                    for side in gate.inputs[1:]:
+                        sources[side] = constant_source(0.5 * vdd)
+                    cases.append(SimulationCase(netlist, sources,
+                                                {"out": 1.05 * vdd}))
+        batch = run_transient_batch(cases, STOP, STEP)
+        assert len(batch) == 12
+        for case, result in zip(cases, batch):
+            assert result.voltage("out")[0] > result.vdd      # back-drive
+            _assert_identical(_loop(case), result)
+
+    def test_circuit_study_nand2_drives_match_loop(self):
+        """The circuit study's NAND2 2X and 4X timing batches, planned
+        exactly as the study plans them (full time base, both measured
+        loads): batch == loop byte for byte."""
+        technology = cnfet_technology()
+        for drive in (2.0, 4.0):
+            _, _, _, cases, stop, step = _plan_cell_cases(
+                "NAND2", (drive,), MEASURED_LOADS_F, (MEASURED_SLEW_S,),
+                {"nominal": technology}, 4.0, None)
+            batch = run_transient_batch(cases, stop, step)
+            for case, result in zip(cases, batch):
+                _assert_identical(_loop(case, stop=stop, step=step), result)
+
+    def test_supply_only_batch_of_one_matches_loop(self):
+        """No integrated net (every net is a rail or driven) and ten
+        p-type devices of different widths on the supply, in batches of
+        one: the supply sum is the only accumulation, and it must keep the
+        loop's sequential order (NumPy sums a lone reduction axis
+        pairwise).  A few sub-steps at held levels keep a one-ulp
+        difference visible in the supply charge."""
+        inverter = cmos_inverter()
+        netlist = TransistorNetlist("parallel", vdd=1.0)
+        widths = (1.0, 1.1, 1.3, 1.7, 2.3, 0.5, 2.9, 0.7, 1.9, 3.1)
+        for i, width in enumerate(widths):
+            drain, source = ("out", VDD) if i % 2 else (VDD, "out")
+            netlist.add_transistor(f"P{i}", inverter.pull_up.scaled(width),
+                                   gate="in", drain=drain, source=source)
+        netlist.declare_io(["in", "out"], [])
+        for level_in in (0.0, 0.1, 0.2, 0.3):
+            for level_out in (0.0, 0.25, 0.5, 0.75, 1.05):
+                case = SimulationCase(netlist, {
+                    "in": constant_source(level_in),
+                    "out": constant_source(level_out),
+                })
+                batch = run_transient_batch([case], 1e-14, 1e-14)[0]
+                _assert_identical(_loop(case, stop=1e-14, step=1e-14), batch)
 
     def test_run_default_engine_is_batch_and_identical(self):
         case = _cnfet_chain_case()
