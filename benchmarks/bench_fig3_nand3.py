@@ -2,7 +2,7 @@
 plus the NAND3 waveform parity check of the batch transient engine."""
 
 import numpy as np
-from conftest import record
+from conftest import planned_cases_match_reference, record
 
 from repro.analysis import run_fig3_nand3
 from repro.cells import characterize_sweep
@@ -21,24 +21,12 @@ def test_fig3_nand3_compaction(benchmark):
 
 
 def test_fig3_nand3_transient_parity(benchmark):
-    """The NAND3 stimulus of the waveform walk-through, batch vs loop:
-    bit-identical measured delays on both transient engines."""
-
-    def sweep(engine):
-        return characterize_sweep(
-            gate_names=("NAND3",), drive_strengths=(1.0, 2.0),
-            load_capacitances_f=(2e-15,), input_slews_s=(5e-12,),
-            engine=engine,
-        )
-
-    batch = benchmark.pedantic(sweep, args=("batch",), iterations=1, rounds=1)
-    loop = sweep("loop")
-    identical = all(
-        b.delay_rise_s == l.delay_rise_s
-        and b.delay_fall_s == l.delay_fall_s
-        and b.energy_per_cycle_j == l.energy_per_cycle_j
-        for b, l in zip(batch.points, loop.points)
-    )
+    """The NAND3 stimulus of the waveform walk-through: every planned
+    case's waveforms are byte-identical to the scalar reference loop."""
+    grid = ((1.0, 2.0), (2e-15,), (5e-12,))
+    batch = benchmark.pedantic(
+        characterize_sweep, args=(("NAND3",), *grid), iterations=1, rounds=1)
+    identical = planned_cases_match_reference("NAND3", *grid)
     point = batch.point("NAND3", 1.0, 2e-15, 5e-12, "nominal")
     record(
         benchmark,

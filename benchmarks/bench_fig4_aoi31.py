@@ -1,7 +1,7 @@
 """E4 — Figure 4: the generalised AOI31 misaligned-CNT-immune layout,
 plus the AOI31 waveform parity check of the batch transient engine."""
 
-from conftest import record
+from conftest import planned_cases_match_reference, record
 
 from repro.analysis import run_fig4_aoi31
 from repro.cells import characterize_sweep
@@ -27,25 +27,13 @@ def test_fig4_aoi31_layout(benchmark):
 
 
 def test_fig4_aoi31_transient_parity(benchmark):
-    """The AOI31 waveforms, batch vs loop: the complex-gate netlist
-    (series/parallel PUN and PDN with internal nodes) measures
-    bit-identically on both transient engines."""
-
-    def sweep(engine):
-        return characterize_sweep(
-            gate_names=("AOI31",), drive_strengths=(1.0,),
-            load_capacitances_f=(1e-15, 4e-15), input_slews_s=(5e-12,),
-            engine=engine,
-        )
-
-    batch = benchmark.pedantic(sweep, args=("batch",), iterations=1, rounds=1)
-    loop = sweep("loop")
-    identical = all(
-        b.delay_rise_s == l.delay_rise_s
-        and b.delay_fall_s == l.delay_fall_s
-        and b.energy_per_cycle_j == l.energy_per_cycle_j
-        for b, l in zip(batch.points, loop.points)
-    )
+    """The AOI31 waveforms: the complex-gate netlist (series/parallel PUN
+    and PDN with internal nodes) integrates every planned case
+    byte-identically to the scalar reference loop."""
+    grid = ((1.0,), (1e-15, 4e-15), (5e-12,))
+    batch = benchmark.pedantic(
+        characterize_sweep, args=(("AOI31",), *grid), iterations=1, rounds=1)
+    identical = planned_cases_match_reference("AOI31", *grid)
     light, heavy = batch.points
     record(
         benchmark,

@@ -1,9 +1,9 @@
 """Throughput of the batched Monte Carlo immunity engine.
 
 Acceptance benchmark for the vectorized immunity subsystem: at 2000 trials
-the ``engine="batch"`` path must be at least 10x faster than the seed
-per-trial loop (``engine="loop"``), with identical failure counts for a
-fixed seed — the compatibility contract both engines share.
+``run_immunity_trials`` must be at least 10x faster than the seed-era
+per-trial loop kept as its oracle (``run_reference_trials``), with
+identical failure counts for a fixed seed.
 """
 
 import time
@@ -12,7 +12,9 @@ import pytest
 from conftest import record
 
 from repro.core import assemble_cell
-from repro.immunity import run_immunity_trials, sweep
+from repro.analysis.experiments import run_immunity_sweep
+from repro.immunity import run_immunity_trials
+from repro.immunity.montecarlo import run_reference_trials
 from repro.logic import standard_gate
 
 TRIALS = 2000
@@ -21,21 +23,21 @@ REQUIRED_SPEEDUP = 10.0
 
 @pytest.mark.parametrize("gate_name", ["NAND2", "NAND3"])
 def test_batched_engine_speedup(benchmark, gate_name):
-    """Batch vs loop at 2000 trials: >=10x faster, identical results."""
+    """Batch vs reference loop at 2000 trials: >=10x faster, identical
+    results."""
     cell = assemble_cell(standard_gate(gate_name), technique="vulnerable",
                          scheme=1)
 
     start = time.perf_counter()
-    loop_result = run_immunity_trials(
-        cell, trials=TRIALS, cnts_per_trial=4, seed=2009, engine="loop"
+    loop_result = run_reference_trials(
+        cell, trials=TRIALS, cnts_per_trial=4, seed=2009
     )
     loop_seconds = time.perf_counter() - start
 
     batch_result = benchmark.pedantic(
         run_immunity_trials,
         args=(cell,),
-        kwargs=dict(trials=TRIALS, cnts_per_trial=4, seed=2009,
-                    engine="batch"),
+        kwargs=dict(trials=TRIALS, cnts_per_trial=4, seed=2009),
         iterations=1,
         rounds=3,
     )
@@ -56,7 +58,7 @@ def test_batched_engine_speedup(benchmark, gate_name):
     print(f"{gate_name}: loop {loop_seconds:.2f}s, batch {batch_seconds:.3f}s "
           f"-> {speedup:.0f}x, failures {batch_result.failures}/{TRIALS}")
 
-    # The compatibility contract: same seed => byte-identical result fields.
+    # The oracle contract: same seed => byte-identical result fields.
     assert batch_result == loop_result
     assert batch_result.failures > 0
     assert speedup >= REQUIRED_SPEEDUP
@@ -64,8 +66,8 @@ def test_batched_engine_speedup(benchmark, gate_name):
 
 def test_sweep_throughput(benchmark):
     """A 3x3 defect-parameter sweep (x3 techniques) on the batched engine."""
-    points = benchmark.pedantic(
-        sweep,
+    result = benchmark.pedantic(
+        run_immunity_sweep,
         kwargs=dict(
             gates=("NAND2",),
             techniques=("vulnerable", "baseline", "compact"),
@@ -77,6 +79,7 @@ def test_sweep_throughput(benchmark):
         iterations=1,
         rounds=1,
     )
+    points = result.points
     total_trials = sum(point.result.trials for point in points)
     seconds = benchmark.stats.stats.mean
     record(

@@ -6,8 +6,8 @@ scale of a (drive x load x slew x corner) characterisation grid or a
 Figure 7 CNT-count sweep with supply corners) one
 :func:`repro.circuit.run_transient_batch` call must be at least 10x
 faster than integrating the corners one at a time through the scalar
-loop engine, with bit-identical waveforms and supply charge for every
-corner — the compatibility contract both engines share.
+reference loop (``TransientSimulator.run_reference``), with bit-identical
+waveforms and supply charge for every corner.
 """
 
 import time
@@ -52,14 +52,15 @@ def _corner_cases():
 
 
 def test_batched_transient_speedup(benchmark):
-    """Batch vs loop at 128 corners: >=10x faster, bit-identical results."""
+    """Batch vs reference loop at 128 corners: >=10x faster, bit-identical
+    results."""
     cases = _corner_cases()
 
     start = time.perf_counter()
     loop_results = [
         TransientSimulator(case.netlist, case.sources,
                            case.initial_conditions)
-        .run(STOP_TIME, TIME_STEP, engine="loop")
+        .run_reference(STOP_TIME, TIME_STEP)
         for case in cases
     ]
     loop_seconds = time.perf_counter() - start
@@ -73,8 +74,8 @@ def test_batched_transient_speedup(benchmark):
     batch_seconds = benchmark.stats.stats.mean
     speedup = loop_seconds / batch_seconds
 
-    # The compatibility contract: every waveform sample and the supply
-    # charge of every corner are byte-identical across the engines.
+    # The oracle contract: every waveform sample and the supply charge of
+    # every corner are byte-identical to the reference loop.
     identical = all(
         loop.supply_charge == batch.supply_charge
         and all(

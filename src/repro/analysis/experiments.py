@@ -35,10 +35,10 @@ from ..flow.designkit import CNFETDesignKit
 from ..flow.verilog import full_adder_netlist
 from ..immunity.montecarlo import (
     SeedLike,
+    SweepPoint,
     compare_techniques,
     format_comparison,
     format_sweep,
-    sweep,
 )
 from ..logic.functions import aoi31, standard_gate
 from ..study.results import (
@@ -58,6 +58,8 @@ from ..study.results import (
     StudyResult,
     Table1Result,
 )
+from ..study.spec import SweepSpec
+from ..study.sweeps import run_sweep_study
 from .metrics import GainReport, TechnologyFigures
 
 
@@ -101,23 +103,21 @@ def run_fig3_nand3(unit_width: float = 4.0) -> Fig3Result:
 # ---------------------------------------------------------------------------
 
 def run_fig2_immunity(gate_name: str = "NAND2", trials: int = 200,
-                      cnts_per_trial: int = 4, seed: SeedLike = 2009,
-                      engine: str = "batch") -> Fig2ImmunityResult:
+                      cnts_per_trial: int = 4,
+                      seed: SeedLike = 2009) -> Fig2ImmunityResult:
     """Monte Carlo immunity of the vulnerable / baseline / compact layouts.
 
     Every technique is attacked by the same defect populations (shared
-    seed); ``engine`` selects the batched evaluator or the compatibility
-    loop — results are identical for a fixed seed.
+    seed).
     """
     results = compare_techniques(
         gate_name, trials=trials, cnts_per_trial=cnts_per_trial, seed=seed,
-        engine=engine,
     )
     return Fig2ImmunityResult(
         provenance=Provenance.capture(
-            "fig2", engine=engine, seed=seed,
+            "fig2", engine="batch", seed=seed,
             params=dict(gate_name=gate_name, trials=trials,
-                        cnts_per_trial=cnts_per_trial, seed=seed, engine=engine),
+                        cnts_per_trial=cnts_per_trial, seed=seed),
         ),
         gate=gate_name,
         results=results,
@@ -141,15 +141,26 @@ def run_immunity_sweep(
     """Failure rate across defect density / alignment / metallic residue.
 
     The batched extension of the Figure 2 experiment: instead of one
-    (technique × gate) table it explores the whole defect-parameter grid on
-    the vectorized engine (optionally across a process pool) and reports
-    where each layout technique stops being immune.
+    (technique × gate) table it explores the whole defect-parameter grid
+    on the immunity sweep engine (optionally across parallel workers) and
+    reports where each layout technique stops being immune.  Points come
+    in ``gate × cnts_per_trial × max_angle_deg × metallic_fraction ×
+    technique`` order, technique fastest; ``compact_always_immune`` is
+    ``None`` when no compact layout ran.
     """
-    points = sweep(
-        gates=gates, techniques=techniques, cnts_per_trial=cnts_per_trial,
-        max_angle_deg=max_angle_deg, metallic_fraction=metallic_fraction,
-        trials=trials, seed=seed, workers=workers,
-    )
+    spec = SweepSpec.from_mapping({
+        "gate": gates,
+        "cnts_per_trial": cnts_per_trial,
+        "max_angle_deg": max_angle_deg,
+        "metallic_fraction": metallic_fraction,
+        "technique": techniques,
+    })
+    study = run_sweep_study(spec, engine="immunity", trials=trials,
+                            seed=seed, jobs=workers)
+    points = [
+        SweepPoint(**record.corner.as_dict(), result=record.metrics["result"])
+        for record in study.records
+    ]
     worst: Dict[str, float] = {}
     for point in points:
         worst[point.technique] = max(
@@ -167,7 +178,8 @@ def run_immunity_sweep(
         points=tuple(points),
         formatted=format_sweep(points),
         worst_failure_rate_by_technique=worst,
-        compact_always_immune=worst.get("compact", 0.0) == 0.0,
+        compact_always_immune=(worst["compact"] == 0.0
+                               if "compact" in worst else None),
     )
 
 

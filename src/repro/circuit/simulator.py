@@ -9,31 +9,29 @@ which is robust for the gate-sized circuits the experiments need (inverter
 chains, logic gates, a full adder) and keeps the implementation
 dependency-free.
 
-Engines
--------
-Two engines implement identical integration semantics:
+Engine and oracle
+-----------------
+The **batch engine** lowers each :class:`SimulationCase` once into NumPy
+structure arrays (see *Precompiled array layout* below) and integrates
+every case of a batch as one state matrix (a column per case) with array
+operations — one :func:`run_transient_batch` call sweeps many
+stimuli/corners (supply voltage, CNT pitch / tubes per device, load
+capacitance, input slew) in a single vectorized integration.
+:meth:`TransientSimulator.run_reference` is its executable specification:
+one case at a time, one device at a time, through the scalar
+:meth:`TransientSimulator._channel_current`, exactly as the original
+implementation.
 
-* the **batch engine** (default) lowers each :class:`SimulationCase` once
-  into NumPy structure arrays (see *Precompiled array layout* below) and
-  integrates every case of a batch as one state matrix (a column per
-  case) with array operations — one :func:`run_transient_batch` call
-  sweeps many stimuli/corners (supply voltage, CNT pitch / tubes per device, load
-  capacitance, input slew) in a single vectorized integration;
-* the **loop engine** (``engine="loop"``) is the compatibility path: one
-  case at a time, one device at a time, through the scalar
-  :meth:`TransientSimulator._channel_current` reference, exactly as the
-  original implementation.
-
-Both engines produce **bit-identical waveforms and supply charge** for the
+The two produce **bit-identical waveforms and supply charge** for the
 same case.  The contract mirrors the Monte Carlo immunity engine of
-:mod:`repro.immunity` (``engine="batch"`` vs ``engine="loop"``): every
-floating-point operation of the scalar loop has an elementwise vector
-counterpart executed in the same order, and the one transcendental in the
-inner loop (the alpha-power law) goes through the shared
-:func:`~repro.devices.powerlaw.alpha_power` kernel in both engines.
-``benchmarks/bench_sim_scale.py`` asserts both the contract and a >=10x
-speedup floor at figure-sized batches; ``docs/architecture.md`` documents
-the design.
+:mod:`repro.immunity` (``run_immunity_trials`` vs its oracle
+``run_reference_trials``): every floating-point operation of the scalar
+loop has an elementwise vector counterpart executed in the same order,
+and the one transcendental in the inner loop (the alpha-power law) goes
+through the shared :func:`~repro.devices.powerlaw.alpha_power` kernel in
+both.  ``benchmarks/bench_sim_scale.py`` asserts both the contract and a
+>=10x speedup floor at figure-sized batches; ``docs/architecture.md``
+documents the design.
 
 Precompiled array layout
 ------------------------
@@ -60,7 +58,7 @@ array                    shape             contents
 ``accumulation_table``   ``(1+R, K+1)``    rows of ``[x | -x | 0]``
                                            summed into the supply and
                                            each integrated net, in the
-                                           loop engine's order
+                                           reference loop's order
 ``scale``                ``(K, B)``        1.0 (supply), capacitances
 ``floor/ceiling``        ``(K, B)``        rail clamp (``-/+inf`` for
                                            the supply charge)
@@ -73,7 +71,7 @@ connectivity and polarity, driven nets) must match across the batch.
 One sub-step (:meth:`CompiledTransientBatch._step_plan`) is a fixed
 sequence of ``out=`` ufunc calls on buffers allocated once per
 :meth:`~CompiledTransientBatch.integrate`; ``docs/architecture.md``
-explains why each is bit-identical to the loop engine.
+explains why each is bit-identical to the reference loop.
 
 Stability sub-stepping rule
 ---------------------------
@@ -84,8 +82,8 @@ unless ``time_step`` is finer still (a sub-step is never longer than
 ``time_step``), and none shorter than 2 fs unless ``time_step`` is.
 That keeps the explicit integration stable for the RC time constants of
 gate-sized circuits without making long runs unaffordable; the rule
-lives in :func:`stability_substep` and is shared verbatim by both
-engines.
+lives in :func:`stability_substep` and is shared verbatim by the engine
+and its reference.
 
 Batch-axis semantics
 --------------------
@@ -136,7 +134,7 @@ SUBSTEP_BUDGET = 40000.0
 
 
 def stability_substep(stop_time: float, time_step: float) -> float:
-    """The shared sub-step rule of both engines.
+    """The sub-step rule shared by the engine and its reference.
 
     At most ``SUBSTEP_BUDGET`` sub-steps per run, unless ``time_step`` is
     finer still: a sub-step is never longer than ``time_step``, and never
@@ -337,7 +335,7 @@ class CompiledTransientBatch:
         first = self.cases[0].netlist
         self._topology_nets: List[str] = first.nets()
         self.source_nets: List[str] = list(self.cases[0].sources)
-        # A source may drive a net no device references (the loop engine
+        # A source may drive a net no device references (the reference loop
         # simply records its waveform); give such nets state columns too so
         # the engines stay bit-identical.
         self.net_names: List[str] = self._topology_nets + [
@@ -395,7 +393,7 @@ class CompiledTransientBatch:
         # device's signed current in sigma space; the drain current is
         # ``+x`` for n-type and ``-x`` for p-type.  Column 0 collects the
         # supply current, column 1 + i integrated net i; entries follow the
-        # loop engine's interleaved slot order (device by device, drain
+        # reference loop's interleaved slot order (device by device, drain
         # then source), so summing the rank slabs in order reproduces its
         # sequential ``+=`` exactly.  Row 0, short columns and the spare
         # last column point at the trailing zero: every sum starts from
@@ -578,7 +576,7 @@ class CompiledTransientBatch:
 
         # The sub-step schedule is deterministic, so enumerate it (and
         # evaluate every PWL source over it) once, up front.  The schedule
-        # loop mirrors the loop engine token for token: sources are read at
+        # loop mirrors the reference loop token for token: sources are read at
         # the *start* of each sub-step, and the sample recorded at a
         # boundary still holds the source value of the previous sub-step.
         step_times: List[float] = []
@@ -645,7 +643,7 @@ class CompiledTransientBatch:
         sub-step of ``dt`` (a 0-d array) forward, in place on ``state``.
         Each call is a fixed sequence of ``out=`` ufunc calls on the
         preallocated buffers below; it is the elementwise mirror of the
-        loop engine's ``_channel_current`` and node update
+        reference loop's ``_channel_current`` and node update
         (``docs/architecture.md`` explains why each step is bit-identical).
         ``take`` runs in ``mode="wrap"`` (the indices are in range) because
         the default mode copies through a temporary instead of writing
@@ -732,7 +730,7 @@ def run_transient_batch(cases: Sequence[SimulationCase], stop_time: float,
     the whole batch shares one time base; each case keeps its own device
     parameters, loading, supply, stimuli and initial conditions.  Returns
     one :class:`TransientResult` per case, in order, bit-identical to
-    running each case through ``TransientSimulator.run(engine="loop")``.
+    running each case through :meth:`TransientSimulator.run_reference`.
     """
     return CompiledTransientBatch(cases).integrate(stop_time, time_step)
 
@@ -740,9 +738,8 @@ def run_transient_batch(cases: Sequence[SimulationCase], stop_time: float,
 class TransientSimulator:
     """Explicit nodal transient solver for a :class:`TransistorNetlist`.
 
-    ``run`` integrates one case; it is a thin compatibility path over the
-    batch engine (a batch of one), with ``engine="loop"`` selecting the
-    scalar per-substep reference implementation.  Both produce
+    ``run`` integrates one case as a batch of one on the batch engine;
+    ``run_reference`` is the scalar per-substep oracle.  Both produce
     bit-identical waveforms and supply charge.
     """
 
@@ -764,21 +761,13 @@ class TransientSimulator:
             initial_conditions=self.initial_conditions,
         )
 
-    def run(self, stop_time: float, time_step: float,
-            engine: str = "batch") -> TransientResult:
+    def run(self, stop_time: float, time_step: float) -> TransientResult:
         """Integrate from 0 to ``stop_time`` with output samples every
-        ``time_step`` (internally sub-stepped for stability).
+        ``time_step`` (internally sub-stepped for stability)."""
+        return run_transient_batch([self.as_case()], stop_time, time_step)[0]
 
-        ``engine`` selects the vectorized batch integrator (default) or
-        the scalar compatibility loop; results are bit-identical.
-        """
-        if engine == "batch":
-            return run_transient_batch([self.as_case()], stop_time, time_step)[0]
-        if engine != "loop":
-            raise SimulationError(f"Unknown transient engine {engine!r}")
-        return self._run_loop(stop_time, time_step)
-
-    def _run_loop(self, stop_time: float, time_step: float) -> TransientResult:
+    def run_reference(self, stop_time: float,
+                      time_step: float) -> TransientResult:
         """The scalar reference integrator (one net dict, one device at a
         time) — the shape the batch engine mirrors operation for
         operation."""
@@ -941,8 +930,7 @@ def _measure_chain(result: TransientResult, stages: int) -> InverterChainResult:
 
 
 def simulate_inverter_chain(inverter: Inverter, vdd: float = 1.0, stages: int = 5,
-                            fanout: int = 4,
-                            engine: str = "batch") -> InverterChainResult:
+                            fanout: int = 4) -> InverterChainResult:
     """Simulate the paper's five-stage FO4 chain and measure the mid stage.
 
     The measured stage is stage 3 (index 2), exactly as in Case study 1.
@@ -955,8 +943,7 @@ def simulate_inverter_chain(inverter: Inverter, vdd: float = 1.0, stages: int = 
     settle = estimate * (stages + 6)
     stop = 2 * estimate + 2 * settle
     result = simulator.run(stop_time=stop,
-                           time_step=max(estimate / 50.0, 1.0e-14),
-                           engine=engine)
+                           time_step=max(estimate / 50.0, 1.0e-14))
     return _measure_chain(result, stages)
 
 

@@ -1,8 +1,8 @@
 """The shared alpha-power kernel of the compact device models.
 
 Both compact models (:class:`~repro.devices.cnfet.CNFET` and
-:class:`~repro.devices.mosfet.MOSFET`) and both transient engines (the
-scalar per-substep loop and the vectorized batch integrator in
+:class:`~repro.devices.mosfet.MOSFET`) and both transient integrators (the
+scalar per-substep oracle and the vectorized batch engine in
 :mod:`repro.circuit.simulator`) evaluate the same alpha-power-law
 saturation current ``I_sat ∝ (overdrive / nominal_overdrive) ** alpha``.
 
@@ -10,7 +10,7 @@ The exponentiation must go through **one** kernel: NumPy's array ``power``
 ufunc is allowed to dispatch to a SIMD implementation whose results differ
 from CPython's ``float.__pow__`` (libm ``pow``) by one ulp on a few percent
 of inputs.  That one-ulp difference is invisible electrically but breaks
-the bit-identity contract between the loop and batch transient engines
+the bit-identity contract between the batch transient engine and its oracle
 (``docs/architecture.md``), so scalar callers route their exponentiation
 through the same ufunc loop the batch engine uses.  ``np.power`` is a pure
 element function — its result for a value does not depend on array length,

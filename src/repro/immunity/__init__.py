@@ -18,20 +18,22 @@ defect populations (one shared seed)::
 
     print(format_comparison(compare_techniques("NAND2", trials=2000)))
 
-Parameter sweeps over defect density / alignment / metallic residue, with
-optional multiprocessing::
+Parameter sweeps over defect density / alignment / metallic residue run
+on the study layer's sweep driver, with optional parallel workers::
 
-    from repro.immunity import sweep, format_sweep
+    from repro import SweepSpec, run_sweep_study
 
-    points = sweep(gates=("NAND2", "NAND3"), cnts_per_trial=(2, 4, 8),
-                   max_angle_deg=(5.0, 15.0, 30.0), trials=1000, workers=4)
-    print(format_sweep(points))
+    spec = SweepSpec.from_mapping({"gate": ("NAND2", "NAND3"),
+                                   "cnts_per_trial": (2, 4, 8),
+                                   "max_angle_deg": (5.0, 15.0, 30.0)})
+    print(run_sweep_study(spec, engine="immunity", trials=1000, jobs=4))
 
-Seed contract: a fixed seed fully determines every defect population; the
-``"batch"`` and ``"loop"`` engines (and any ``chunk_size``) produce
-identical :class:`MonteCarloResult` values, and within
-:func:`compare_techniques` / :func:`sweep` all techniques at the same
-parameter point consume identical underlying defect draws.
+Seed contract: a fixed seed fully determines every defect population;
+:func:`run_immunity_trials` (for any ``chunk_size``) and its scalar oracle
+:func:`~repro.immunity.montecarlo.run_reference_trials` produce identical
+:class:`MonteCarloResult` values, and within :func:`compare_techniques`
+and an immunity sweep all techniques at the same parameter point consume
+identical underlying defect draws.
 """
 
 from .checker import (
@@ -57,7 +59,6 @@ from .montecarlo import (
     format_comparison,
     format_sweep,
     run_immunity_trials,
-    sweep,
 )
 
 __all__ = [
@@ -79,5 +80,4 @@ __all__ = [
     "format_comparison",
     "format_sweep",
     "run_immunity_trials",
-    "sweep",
 ]

@@ -33,7 +33,8 @@ Two evaluation paths implement the same semantics:
   :meth:`ImmunityChecker.output_codes`);
 * the **reference path** walks each tube's ordered crossings in Python
   (:meth:`ImmunityChecker.truth_table_reference`), preserved as the
-  behavioural oracle and for the Monte Carlo compatibility loop.
+  behavioural oracle and for the Monte Carlo oracle
+  (:func:`~repro.immunity.montecarlo.run_reference_trials`).
 
 Both produce identical truth tables for identical populations: the batched
 path replicates the scalar slab clipping, the stable midpoint ordering and

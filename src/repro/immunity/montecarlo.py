@@ -7,20 +7,17 @@ here: for each layout technique a population of random mispositioned CNTs
 is injected repeatedly and the fraction of trials whose truth table is
 corrupted is reported.
 
-Engines
--------
-Two engines implement identical trial semantics:
-
-* ``engine="batch"`` (default) samples whole defect populations at once and
-  evaluates every trial × input-assignment with NumPy array operations via
-  :meth:`~repro.immunity.checker.ImmunityChecker.evaluate_batch`, in memory
-  chunks of ``chunk_size`` trials;
-* ``engine="loop"`` is the compatibility path: one trial at a time through
-  the scalar reference checker, exactly as the original implementation.
-
-Both consume the random stream in the same per-tube order, so a fixed seed
-produces identical :class:`MonteCarloResult` values on either engine (and
-for any ``chunk_size``).
+Engine and oracle
+-----------------
+:func:`run_immunity_trials` samples whole defect populations at once and
+evaluates every trial × input-assignment with NumPy array operations via
+:meth:`~repro.immunity.checker.ImmunityChecker.evaluate_batch`, in memory
+chunks of ``chunk_size`` trials.  :func:`run_reference_trials` is its
+executable specification: one trial at a time through the scalar
+reference checker, exactly as the original implementation.  Both consume
+the random stream in the same per-tube order, so a fixed seed produces
+identical :class:`MonteCarloResult` values from either (and for any
+``chunk_size``).
 
 Seed contract
 -------------
@@ -29,16 +26,18 @@ model**: each technique's generator is built from the same seed (one common
 ``SeedSequence``), so trial ``t`` consumes the identical underlying uniform
 draws for every technique.  The raw draws are scaled to each cell's own
 bounding box, which is what "the same Monte Carlo CNT defect model" means
-for cells of different sizes.  :func:`sweep` extends the contract: points
+for cells of different sizes.  Parameter sweeps extend the contract
+(:func:`repro.study.run_sweep_study` with ``engine="immunity"``): corners
 that differ only in ``technique`` share one spawned child sequence, while
 distinct parameter combinations get independent child sequences.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,7 +45,6 @@ from ..core.spec import CellAnnotations
 from ..core.standard_cell import StandardCell, assemble_cell
 from ..errors import ImmunityAnalysisError
 from ..logic.functions import standard_gate
-from ..logic.network import GateNetworks
 from ..tech.lambda_rules import CNFET_RULES, DesignRules
 from .checker import ImmunityChecker
 from .cnts import (
@@ -60,13 +58,11 @@ from .cnts import (
 #: the arrays large enough to amortise dispatch overhead.
 DEFAULT_CHUNK_SIZE = 512
 
+#: Assembled cells run their CNT strips horizontally: tubes grow along x.
+_GROWTH_AXIS = "x"
+
 #: Seed-like values accepted wherever a Monte Carlo seed is expected.
 SeedLike = Union[int, Sequence[int], np.random.SeedSequence]
-
-#: Reserved spawn-key element under which :func:`sweep` derives its child
-#: sequences, far outside the counter range ``SeedSequence.spawn`` uses, so
-#: sweep children never collide with children the caller spawns themselves.
-_SWEEP_SPAWN_KEY = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -101,7 +97,6 @@ def run_immunity_trials(
     seed: SeedLike = 2009,
     cnt_pitch: float = 1.0,
     metallic_fraction: float = 0.0,
-    engine: str = "batch",
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> MonteCarloResult:
     """Monte Carlo immunity analysis of one assembled standard cell.
@@ -111,68 +106,71 @@ def run_immunity_trials(
     injected defect tubes as metallic — the paper assumes this is zero after
     processing (Section II); raising it shows how quickly that assumption
     matters, because no layout technique can gate a metallic tube off.
-
-    ``engine`` selects the vectorized ``"batch"`` evaluator or the scalar
-    ``"loop"`` compatibility path; results are identical for a fixed seed.
     """
-    annotations = cell.annotations()
+    if chunk_size <= 0:
+        raise ImmunityAnalysisError("chunk_size must be positive")
     return _run_trials(
-        annotations=annotations,
-        expected_gate=cell.gate,
-        technique=cell.technique,
-        axis="x",
-        trials=trials,
-        cnts_per_trial=cnts_per_trial,
-        max_angle_deg=max_angle_deg,
-        seed=seed,
-        cnt_pitch=cnt_pitch,
-        metallic_fraction=metallic_fraction,
-        engine=engine,
-        chunk_size=chunk_size,
+        functools.partial(_batched_trials, chunk_size=chunk_size),
+        cell, trials, cnts_per_trial, max_angle_deg, seed, cnt_pitch,
+        metallic_fraction,
+    )
+
+
+def run_reference_trials(
+    cell: StandardCell,
+    trials: int = 200,
+    cnts_per_trial: int = 4,
+    max_angle_deg: float = 15.0,
+    seed: SeedLike = 2009,
+    cnt_pitch: float = 1.0,
+    metallic_fraction: float = 0.0,
+) -> MonteCarloResult:
+    """The scalar oracle of :func:`run_immunity_trials`: one trial at a
+    time through the reference checker.  A fixed seed gives the identical
+    :class:`MonteCarloResult`; it exists for the parity tests and the
+    speedup benchmark."""
+    return _run_trials(
+        _reference_trials, cell, trials, cnts_per_trial, max_angle_deg,
+        seed, cnt_pitch, metallic_fraction,
     )
 
 
 def _run_trials(
-    annotations: CellAnnotations,
-    expected_gate: Optional[GateNetworks],
-    technique: str,
-    axis: str,
+    evaluate: Callable[..., Tuple[int, bool]],
+    cell: StandardCell,
     trials: int,
     cnts_per_trial: int,
     max_angle_deg: float,
     seed: SeedLike,
     cnt_pitch: float,
-    metallic_fraction: float = 0.0,
-    engine: str = "batch",
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    metallic_fraction: float,
 ) -> MonteCarloResult:
     if trials <= 0:
         raise ImmunityAnalysisError("trials must be positive")
-    if engine not in ("batch", "loop"):
+    if (isinstance(cnts_per_trial, bool)
+            or not isinstance(cnts_per_trial, (int, np.integer))):
         raise ImmunityAnalysisError(
-            f"engine must be 'batch' or 'loop', got {engine!r}"
+            f"cnts_per_trial must be an integer, got {cnts_per_trial!r}"
         )
-    if chunk_size <= 0:
-        raise ImmunityAnalysisError("chunk_size must be positive")
+    if (isinstance(max_angle_deg, bool)
+            or not isinstance(max_angle_deg,
+                              (int, float, np.integer, np.floating))
+            or not math.isfinite(max_angle_deg)):
+        raise ImmunityAnalysisError(
+            f"max_angle_deg must be a finite number, got {max_angle_deg!r}"
+        )
+    annotations = cell.annotations()
     checker = ImmunityChecker(annotations)
-    nominal = nominal_cnts(annotations, pitch=cnt_pitch, axis=axis)
-    expected = expected_gate.expected_truth_table() if expected_gate else None
+    nominal = nominal_cnts(annotations, pitch=cnt_pitch, axis=_GROWTH_AXIS)
+    expected = cell.gate.expected_truth_table() if cell.gate else None
     rng = np.random.default_rng(seed)
-
-    if engine == "loop":
-        failures, nominal_matches = _loop_trials(
-            checker, annotations, nominal, expected, rng, trials,
-            cnts_per_trial, max_angle_deg, axis, metallic_fraction,
-        )
-    else:
-        failures, nominal_matches = _batched_trials(
-            checker, annotations, nominal, expected, rng, trials,
-            cnts_per_trial, max_angle_deg, axis, metallic_fraction, chunk_size,
-        )
-
+    failures, nominal_matches = evaluate(
+        checker, annotations, nominal, expected, rng, trials,
+        cnts_per_trial, max_angle_deg, metallic_fraction,
+    )
     return MonteCarloResult(
         cell_name=annotations.cell_name,
-        technique=technique,
+        technique=cell.technique,
         trials=trials,
         cnts_per_trial=cnts_per_trial,
         failures=failures,
@@ -180,7 +178,7 @@ def _run_trials(
     )
 
 
-def _loop_trials(
+def _reference_trials(
     checker: ImmunityChecker,
     annotations: CellAnnotations,
     nominal,
@@ -189,7 +187,6 @@ def _loop_trials(
     trials: int,
     cnts_per_trial: int,
     max_angle_deg: float,
-    axis: str,
     metallic_fraction: float,
 ) -> Tuple[int, bool]:
     """The original per-trial loop over the scalar reference checker."""
@@ -199,7 +196,7 @@ def _loop_trials(
     for _ in range(trials):
         strays = random_mispositioned_cnts(
             annotations, cnts_per_trial, rng, max_angle_deg=max_angle_deg,
-            axis=axis, metallic_fraction=metallic_fraction,
+            axis=_GROWTH_AXIS, metallic_fraction=metallic_fraction,
         )
         report = checker.check(nominal, strays, expected=expected,
                                reference=True)
@@ -217,7 +214,6 @@ def _batched_trials(
     trials: int,
     cnts_per_trial: int,
     max_angle_deg: float,
-    axis: str,
     metallic_fraction: float,
     chunk_size: int,
 ) -> Tuple[int, bool]:
@@ -241,7 +237,7 @@ def _batched_trials(
         chunk = min(chunk_size, remaining)
         batch = sample_mispositioned_batch(
             annotations, chunk * cnts_per_trial, rng,
-            max_angle_deg=max_angle_deg, axis=axis,
+            max_angle_deg=max_angle_deg, axis=_GROWTH_AXIS,
             metallic_fraction=metallic_fraction,
         )
         codes = checker.evaluate_batch(batch, groups=chunk,
@@ -260,7 +256,6 @@ def compare_techniques(
     scheme: int = 1,
     seed: SeedLike = 2009,
     rules: DesignRules = CNFET_RULES,
-    engine: str = "batch",
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> Dict[str, MonteCarloResult]:
     """Run the Figure 2 experiment: the same gate laid out with each
@@ -286,7 +281,6 @@ def compare_techniques(
             trials=trials,
             cnts_per_trial=cnts_per_trial,
             seed=seed_sequence,
-            engine=engine,
             chunk_size=chunk_size,
         )
     return results
@@ -301,8 +295,9 @@ def _as_seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
 
 
 #: Reserved spawn-key element for per-cell seed derivation in circuit
-#: studies (see :func:`circuit_cell_seed`); distinct from the sweep key so
-#: circuit children can never collide with sweep children of the same root.
+#: studies (see :func:`circuit_cell_seed`); one above the sweep key of
+#: :mod:`repro.study.spec` so circuit children can never collide with
+#: sweep children of the same root.
 _CIRCUIT_SPAWN_KEY = (1 << 31) + 1
 
 
@@ -368,7 +363,7 @@ def format_comparison(results: Dict[str, MonteCarloResult]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Parameter sweeps over the batched engine
+# Parameter sweep points (the immunity_sweep study's payload)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -385,127 +380,6 @@ class SweepPoint:
     @property
     def failure_rate(self) -> float:
         return self.result.failure_rate
-
-
-def sweep(
-    gates: Sequence[str] = ("NAND2",),
-    techniques: Sequence[str] = ("vulnerable", "baseline", "compact"),
-    cnts_per_trial: Sequence[int] = (4,),
-    max_angle_deg: Sequence[float] = (15.0,),
-    metallic_fraction: Sequence[float] = (0.0,),
-    trials: int = 200,
-    seed: SeedLike = 2009,
-    unit_width: float = 4.0,
-    scheme: int = 1,
-    rules: DesignRules = CNFET_RULES,
-    engine: str = "batch",
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    workers: Optional[int] = None,
-) -> List[SweepPoint]:
-    """Failure rate across the cartesian product of defect parameters.
-
-    Sweeps ``gates`` × ``cnts_per_trial`` × ``max_angle_deg`` ×
-    ``metallic_fraction`` × ``techniques`` and returns one
-    :class:`SweepPoint` per combination, in deterministic product order.
-
-    Seeding follows the Figure 2 contract: every parameter combination gets
-    its own child ``SeedSequence`` spawned from ``SeedSequence(seed)``, and
-    all techniques at that combination share the child, so technique
-    comparisons see the same defect populations while distinct combinations
-    stay statistically independent.
-
-    ``workers`` > 1 distributes points over the runtime scheduler's
-    process pool (:func:`repro.runtime.scheduler.run_tasks` — the one
-    pool implementation in the repository); results are identical to the
-    serial run (each point is seeded independently of scheduling order).
-    """
-    combos = list(itertools.product(
-        gates, cnts_per_trial, max_angle_deg, metallic_fraction
-    ))
-    # Spawn under a reserved key of a fresh copy: SeedSequence.spawn
-    # advances the parent's counter (spawning from the caller's sequence
-    # would make identical sweep() calls irreproducible), while a plain
-    # copy restarts the counter at 0 and would alias children the caller
-    # already spawned themselves.
-    root = _as_seed_sequence(seed)
-    root = np.random.SeedSequence(
-        entropy=root.entropy,
-        spawn_key=root.spawn_key + (_SWEEP_SPAWN_KEY,),
-        pool_size=root.pool_size,
-    )
-    children = root.spawn(len(combos))
-    tasks = []
-    for (gate, cnts, angle, metallic), child in zip(combos, children):
-        for technique in techniques:
-            tasks.append(_SweepTask(
-                gate=gate,
-                technique=technique,
-                cnts_per_trial=cnts,
-                max_angle_deg=angle,
-                metallic_fraction=metallic,
-                trials=trials,
-                seed_sequence=child,
-                unit_width=unit_width,
-                scheme=scheme,
-                rules=rules,
-                engine=engine,
-                chunk_size=chunk_size,
-            ))
-
-    # Imported lazily: repro.runtime sits above the study layer, which
-    # itself imports this module for the seed contract.
-    from ..runtime.scheduler import run_tasks
-
-    results = run_tasks(_run_sweep_task, tasks, jobs=workers)
-
-    return [
-        SweepPoint(
-            gate=task.gate,
-            technique=task.technique,
-            cnts_per_trial=task.cnts_per_trial,
-            max_angle_deg=task.max_angle_deg,
-            metallic_fraction=task.metallic_fraction,
-            result=result,
-        )
-        for task, result in zip(tasks, results)
-    ]
-
-
-@dataclass(frozen=True)
-class _SweepTask:
-    """A picklable unit of sweep work (one technique at one combination)."""
-
-    gate: str
-    technique: str
-    cnts_per_trial: int
-    max_angle_deg: float
-    metallic_fraction: float
-    trials: int
-    seed_sequence: np.random.SeedSequence
-    unit_width: float
-    scheme: int
-    rules: DesignRules
-    engine: str
-    chunk_size: int
-
-
-def _run_sweep_task(task: _SweepTask) -> MonteCarloResult:
-    """Top-level worker so process pools can pickle it."""
-    gate = standard_gate(task.gate)
-    cell = assemble_cell(
-        gate, technique=task.technique, scheme=task.scheme,
-        unit_width=task.unit_width, rules=task.rules,
-    )
-    return run_immunity_trials(
-        cell,
-        trials=task.trials,
-        cnts_per_trial=task.cnts_per_trial,
-        max_angle_deg=task.max_angle_deg,
-        metallic_fraction=task.metallic_fraction,
-        seed=task.seed_sequence,
-        engine=task.engine,
-        chunk_size=task.chunk_size,
-    )
 
 
 def format_sweep(points: Sequence[SweepPoint]) -> str:

@@ -6,9 +6,9 @@ study three service-shaped properties:
 
 * **one scheduler** (:mod:`~repro.runtime.scheduler`) — an ordered,
   deterministic task map over serial / thread / process backends.  Every
-  parallel path in the repository (``run_sweep_study(jobs=...)``,
-  ``montecarlo.sweep(workers=...)``, the CLI ``--jobs`` flag) lowers
-  onto it, and sharded runs are bit-identical to serial ones because
+  parallel path in the repository (``run_sweep_study(jobs=...)``, which
+  the ``immunity_sweep`` study's ``workers`` also reach, and the CLI
+  ``--jobs`` flag) lowers onto it, and sharded runs are bit-identical to serial ones because
   seeds are spawned per corner in the parent and transient shards replay
   the full-grid time base;
 * **one cache** (:mod:`~repro.runtime.cache` +

@@ -1,8 +1,9 @@
 """The deterministic parallel scheduler.
 
 One pool implementation for the whole repository: every parallel code
-path — ``run_sweep_study(jobs=...)``, ``montecarlo.sweep(workers=...)``,
-the ``--jobs`` CLI flag — lowers onto :func:`run_tasks`, an *ordered*
+path — ``run_sweep_study(jobs=...)`` (the ``immunity_sweep`` study's
+``workers`` among its callers), the ``--jobs`` CLI flag — lowers onto
+:func:`run_tasks`, an *ordered*
 map over one of three backends:
 
 ========  ===========================  =====================================

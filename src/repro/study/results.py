@@ -421,7 +421,7 @@ class ImmunitySweepResult(StudyResult):
     points: Tuple[Any, ...] = ()                # SweepPoint entries
     formatted: str = ""
     worst_failure_rate_by_technique: Dict[str, float] = field(default_factory=dict)
-    compact_always_immune: bool = False
+    compact_always_immune: Optional[bool] = None    # None: no compact point
 
     def __str__(self) -> str:
         return self.formatted

@@ -11,9 +11,9 @@ any engine can consume.
 
 Seed policy
 -----------
-:meth:`SweepSpec.seeds` honours the PR-1 ``SeedLike`` contract established
-by :func:`repro.immunity.montecarlo.sweep`: children are spawned under the
-reserved ``_SWEEP_SPAWN_KEY`` from a *fresh copy* of the root sequence (so
+:meth:`SweepSpec.seeds` honours the ``SeedLike`` contract of the Figure 2
+experiments: children are spawned from :func:`sweep_root`, under the
+reserved ``_SWEEP_SPAWN_KEY``, a *fresh copy* of the root sequence (so
 identical calls are reproducible and never collide with children the
 caller spawns), and corners that differ **only** in the axes named by
 ``share_axes`` share one child — the Figure 2 "same defect populations for
@@ -30,13 +30,38 @@ every technique" guarantee, generalised to any axis.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import StudyError
-from ..immunity.montecarlo import SeedLike, _SWEEP_SPAWN_KEY, _as_seed_sequence
+from ..immunity.montecarlo import SeedLike, _as_seed_sequence
+
+#: Reserved spawn-key element under which every sweep derives its child
+#: sequences, far outside the counter range ``SeedSequence.spawn`` uses, so
+#: sweep children never collide with children the caller spawns themselves.
+#: (:func:`repro.immunity.montecarlo.circuit_cell_seed` reserves the next
+#: element up.)
+_SWEEP_SPAWN_KEY = 1 << 31
+
+
+def sweep_root(seed: SeedLike) -> np.random.SeedSequence:
+    """The sequence every sweep spawns its corner children from.
+
+    It is a *fresh copy* of ``SeedSequence(seed)`` under the reserved
+    ``_SWEEP_SPAWN_KEY``: spawning from the caller's own sequence would
+    advance its counter (identical sweeps would then differ), and a plain
+    copy would restart the counter at 0 and alias the children the caller
+    spawns themselves.
+    """
+    root = _as_seed_sequence(seed)
+    return np.random.SeedSequence(
+        entropy=root.entropy,
+        spawn_key=root.spawn_key + (_SWEEP_SPAWN_KEY,),
+        pool_size=root.pool_size,
+    )
 
 
 @dataclass(frozen=True)
@@ -111,6 +136,9 @@ def parse_axis(text: str) -> Axis:
     * ``name=a,b,c`` — an explicit list (ints, floats or strings);
     * ``name=value`` — a single value.
 
+    Non-finite numbers (``inf``, ``nan``, overflowing literals) and empty
+    list entries raise :class:`~repro.errors.StudyError`.
+
     >>> parse_axis("cnts=2,4,8").values
     (2, 4, 8)
     >>> parse_axis("technique=compact").values
@@ -145,8 +173,15 @@ def parse_axis(text: str) -> Axis:
             values = tuple(
                 start + (stop - start) * i / (steps - 1) for i in range(steps)
             )
-        return Axis(name, values)
-    return Axis(name, tuple(_parse_scalar(token) for token in spec.split(",")))
+    else:
+        tokens = spec.split(",")
+        if any(not token.strip() for token in tokens):
+            raise StudyError(f"Axis {name!r} has an empty value in {text!r}")
+        values = tuple(_parse_scalar(token) for token in tokens)
+    if any(isinstance(value, float) and not math.isfinite(value)
+           for value in values):
+        raise StudyError(f"Axis {name!r} has a non-finite value in {text!r}")
+    return Axis(name, values)
 
 
 @dataclass(frozen=True)
@@ -250,12 +285,7 @@ class SweepSpec:
         # error: every corner then keys on its full binding.
         share = set(share_axes) & set(self.axis_names)
         corners = self.corners()
-        root = _as_seed_sequence(seed)
-        root = np.random.SeedSequence(
-            entropy=root.entropy,
-            spawn_key=root.spawn_key + (_SWEEP_SPAWN_KEY,),
-            pool_size=root.pool_size,
-        )
+        root = sweep_root(seed)
         groups: Dict[Tuple[Tuple[str, object], ...], int] = {}
         group_of_corner: List[int] = []
         for corner in corners:

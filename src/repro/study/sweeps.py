@@ -5,11 +5,12 @@ of the ``_ENGINES`` table:
 
 * ``engine="immunity"`` — Monte Carlo immunity (Figure 2).  Axes:
   ``gate``, ``technique``, ``cnts_per_trial``, ``max_angle_deg``,
-  ``metallic_fraction``.  Grid seeds follow
-  :func:`repro.immunity.montecarlo.sweep`'s contract bit-for-bit
+  ``metallic_fraction``.  Grid seeds follow the Figure 2 contract
   (techniques share defect populations, distinct parameter combinations
-  get independent children); zip seeds are :meth:`SweepSpec.seeds`
-  sharing ``technique``.
+  get independent children, spawned in ``(gate, cnts_per_trial,
+  max_angle_deg, metallic_fraction)`` product order); zip seeds are
+  :meth:`SweepSpec.seeds` sharing ``technique``.  The ``immunity_sweep``
+  study runs on this engine.
 * ``engine="transient"`` — batch transient characterisation (Sect. IV).
   Axes: ``cell``, ``drive``, ``load_f``, ``slew_s``, ``vdd``,
   ``pitch_nm``.  A grid integrates each cell's corners in one batch on
@@ -55,7 +56,7 @@ import numpy as np
 
 from ..errors import StudyError
 from .results import Provenance, StudyResult
-from .spec import Corner, SweepSpec
+from .spec import Corner, SweepSpec, sweep_root
 
 #: Axes each engine understands, with their fixed-parameter defaults.
 IMMUNITY_AXES: Dict[str, object] = {
@@ -89,8 +90,8 @@ CIRCUIT_AXES: Dict[str, object] = {
 #: contract: changing vdd or pitch must not change which defects land.
 _CIRCUIT_SHARE_AXES = ("vdd", "pitch_nm")
 
-#: The immunity axes that select a grid corner's child seed, in
-#: :func:`repro.immunity.montecarlo.sweep`'s spawn (product) order.
+#: The immunity axes that select a grid corner's child seed, in spawn
+#: (product) order.
 _IMMUNITY_SEED_AXES = ("gate", "cnts_per_trial", "max_angle_deg",
                        "metallic_fraction")
 
@@ -395,27 +396,19 @@ def _immunity_seeds(spec: SweepSpec, constants: Mapping[str, object],
                     seed) -> List[np.random.SeedSequence]:
     """One child :class:`~numpy.random.SeedSequence` per corner.
 
-    Grid mode replicates :func:`repro.immunity.montecarlo.sweep`'s
-    contract: children are spawned under the reserved ``_SWEEP_SPAWN_KEY``
-    in ``(gate, cnts, angle, metallic)`` product order, and corners
-    differing only in ``technique`` share one child.  Zip mode is
+    Grid mode is the Figure 2 sweep contract: children are spawned from
+    :func:`~repro.study.spec.sweep_root` in ``(gate, cnts, angle,
+    metallic)`` product order, and corners differing only in
+    ``technique`` share one child.  Zip mode is
     :meth:`SweepSpec.seeds` with ``share_axes=("technique",)``.
     """
     if spec.mode != "grid":
         return spec.seeds(seed, share_axes=("technique",))
-    from ..immunity.montecarlo import _SWEEP_SPAWN_KEY, _as_seed_sequence
-
     combos = list(itertools.product(*(
         _axis_or_constant(spec, constants, name)
         for name in _IMMUNITY_SEED_AXES
     )))
-    root = _as_seed_sequence(seed)
-    root = np.random.SeedSequence(
-        entropy=root.entropy,
-        spawn_key=root.spawn_key + (_SWEEP_SPAWN_KEY,),
-        pool_size=root.pool_size,
-    )
-    by_combo = dict(zip(combos, root.spawn(len(combos))))
+    by_combo = dict(zip(combos, sweep_root(seed).spawn(len(combos))))
     return [by_combo[tuple(values[name] for name in _IMMUNITY_SEED_AXES)]
             for values in bindings]
 

@@ -11,10 +11,12 @@ from repro.analysis import (
     run_fig4_aoi31,
     run_fig7_fo4,
     run_fulladder_case_study,
+    run_immunity_sweep,
     run_pitch_sensitivity,
     run_table1,
 )
 from repro.devices import paper_anchors
+from repro.errors import StudyError
 
 
 class TestMetrics:
@@ -60,6 +62,29 @@ class TestFigure2Experiment:
         assert result["baseline_immune"] is True
         assert result["vulnerable_failure_rate"] > 0.0
         assert "vulnerable" in result["formatted"]
+
+
+class TestImmunitySweepExperiment:
+    def test_points_in_product_order_technique_fastest(self):
+        result = run_immunity_sweep(gates=("NAND2",), cnts_per_trial=(2, 4),
+                                    trials=20, seed=3)
+        assert [(p.cnts_per_trial, p.technique) for p in result.points] == [
+            (cnts, technique) for cnts in (2, 4)
+            for technique in ("vulnerable", "baseline", "compact")
+        ]
+        assert result.compact_always_immune is True
+
+    def test_no_compact_point_reports_no_verdict(self):
+        """Without a compact point the flag is None, not a vacuous True."""
+        result = run_immunity_sweep(gates=("NAND2",),
+                                    techniques=("vulnerable",),
+                                    cnts_per_trial=(4,), trials=20, seed=3)
+        assert result.compact_always_immune is None
+        assert result.worst_failure_rate_by_technique["vulnerable"] > 0.0
+
+    def test_empty_axis_is_a_study_error(self):
+        with pytest.raises(StudyError):
+            run_immunity_sweep(gates=())
 
 
 class TestFigure4Experiment:

@@ -16,9 +16,10 @@ from repro.immunity import (
     random_mispositioned_cnts,
     run_immunity_trials,
     sample_mispositioned_batch,
-    sweep,
 )
+from repro.immunity.montecarlo import run_reference_trials
 from repro.logic import standard_gate
+from repro.study import SweepSpec, run_sweep_study
 
 
 class TestCNTInstance:
@@ -289,10 +290,10 @@ class TestBatchedEngine:
     def test_engines_identical_for_fixed_seed(self):
         cell = assemble_cell(standard_gate("NAND2"), technique="vulnerable",
                              scheme=1)
-        loop = run_immunity_trials(cell, trials=120, cnts_per_trial=4,
-                                   seed=2009, engine="loop")
+        loop = run_reference_trials(cell, trials=120, cnts_per_trial=4,
+                                    seed=2009)
         batch = run_immunity_trials(cell, trials=120, cnts_per_trial=4,
-                                    seed=2009, engine="batch")
+                                    seed=2009)
         assert loop == batch
         assert loop.failures > 0
 
@@ -313,27 +314,46 @@ class TestBatchedEngine:
         second = run_immunity_trials(cell, trials=80, cnts_per_trial=4, seed=99)
         assert first == second
 
-    def test_invalid_engine_rejected(self):
-        cell = assemble_cell(standard_gate("INV"))
-        with pytest.raises(ImmunityAnalysisError):
-            run_immunity_trials(cell, trials=5, engine="spice")
-
     def test_invalid_chunk_size_rejected(self):
         cell = assemble_cell(standard_gate("INV"))
         with pytest.raises(ImmunityAnalysisError):
             run_immunity_trials(cell, trials=5, chunk_size=0)
+
+    @pytest.mark.parametrize("bad", [
+        dict(trials=0),
+        dict(cnts_per_trial=2.5),
+        dict(cnts_per_trial="4"),
+        dict(cnts_per_trial=True),
+        dict(max_angle_deg=float("nan")),
+        dict(max_angle_deg=float("inf")),
+        dict(max_angle_deg="15"),
+    ])
+    @pytest.mark.parametrize("run", [run_immunity_trials,
+                                     run_reference_trials])
+    def test_invalid_trial_inputs_rejected(self, run, bad):
+        """Non-integer tube counts and non-finite angles are typed errors
+        on both the engine and its oracle — never a NumPy TypeError, and
+        never a silent ``immune=True`` from a NaN angle."""
+        cell = assemble_cell(standard_gate("NAND2"), technique="compact")
+        with pytest.raises(ImmunityAnalysisError):
+            run(cell, **{"trials": 5, **bad})
+
+    def test_numpy_integer_tube_count_accepted(self):
+        cell = assemble_cell(standard_gate("INV"))
+        assert run_immunity_trials(cell, trials=5, cnts_per_trial=np.int64(3),
+                                   max_angle_deg=np.float32(10.0), seed=1) \
+            == run_immunity_trials(cell, trials=5, cnts_per_trial=3,
+                                   max_angle_deg=10.0, seed=1)
 
     @settings(max_examples=5, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_engine_parity_for_any_seed(self, seed):
         cell = assemble_cell(standard_gate("NAND2"), technique="vulnerable",
                              scheme=1)
-        loop = run_immunity_trials(cell, trials=20, cnts_per_trial=5,
-                                   seed=seed, engine="loop",
-                                   metallic_fraction=0.2)
+        loop = run_reference_trials(cell, trials=20, cnts_per_trial=5,
+                                    seed=seed, metallic_fraction=0.2)
         batch = run_immunity_trials(cell, trials=20, cnts_per_trial=5,
-                                    seed=seed, engine="batch",
-                                    metallic_fraction=0.2)
+                                    seed=seed, metallic_fraction=0.2)
         assert loop == batch
 
 
@@ -357,17 +377,40 @@ class TestSeedSharing:
         assert first == second
 
     def test_comparison_engines_agree(self):
-        batch = compare_techniques("NAND2", trials=40, seed=5, engine="batch")
-        loop = compare_techniques("NAND2", trials=40, seed=5, engine="loop")
+        batch = compare_techniques("NAND2", trials=40, seed=5)
+        shared = np.random.SeedSequence(5)
+        loop = {
+            technique: run_reference_trials(
+                assemble_cell(standard_gate("NAND2"), technique=technique,
+                              scheme=1),
+                trials=40, seed=shared)
+            for technique in batch
+        }
         assert batch == loop
 
 
+def _immunity_sweep(seed, jobs=None, trials=30, **axes):
+    """``run_sweep_study`` over a NAND2 grid in ``run_immunity_sweep``'s
+    axis order (technique fastest); returns the records."""
+    ordered = {name: axes[name] for name in (
+        "gate", "cnts_per_trial", "max_angle_deg", "metallic_fraction",
+        "technique") if name in axes}
+    spec = SweepSpec.from_mapping({"gate": ("NAND2",), **ordered})
+    return run_sweep_study(spec, engine="immunity", trials=trials, seed=seed,
+                           jobs=jobs).records
+
+
 class TestSweep:
+    """The immunity sweep engine's grid contract (the ``immunity_sweep``
+    study runs on it)."""
+
     def test_cartesian_coverage_and_order(self):
-        points = sweep(gates=("NAND2",), techniques=("vulnerable", "compact"),
-                       cnts_per_trial=(2, 4), trials=20, seed=3)
-        assert len(points) == 4
-        assert [(p.technique, p.cnts_per_trial) for p in points] == [
+        records = _immunity_sweep(
+            seed=3, trials=20, technique=("vulnerable", "compact"),
+            cnts_per_trial=(2, 4))
+        assert len(records) == 4
+        assert [(r.corner["technique"], r.corner["cnts_per_trial"])
+                for r in records] == [
             ("vulnerable", 2), ("compact", 2), ("vulnerable", 4), ("compact", 4),
         ]
 
@@ -375,48 +418,47 @@ class TestSweep:
         """Points differing only in technique must reuse one child seed:
         running the sweep twice (and with different technique subsets) gives
         identical results for the shared points."""
-        both = sweep(gates=("NAND2",), techniques=("vulnerable", "compact"),
-                     cnts_per_trial=(3,), trials=30, seed=8)
-        compact_only = sweep(gates=("NAND2",), techniques=("compact",),
-                             cnts_per_trial=(3,), trials=30, seed=8)
-        assert both[1].result == compact_only[0].result
+        both = _immunity_sweep(seed=8, technique=("vulnerable", "compact"),
+                               cnts_per_trial=(3,))
+        compact_only = _immunity_sweep(seed=8, technique=("compact",),
+                                       cnts_per_trial=(3,))
+        assert both[1]["result"] == compact_only[0]["result"]
 
     def test_seed_sequence_argument_not_mutated(self):
-        """sweep() must not advance a caller-supplied SeedSequence's spawn
+        """A sweep must not advance a caller-supplied SeedSequence's spawn
         counter: identical back-to-back calls give identical results."""
         seed_sequence = np.random.SeedSequence(8)
-        kwargs = dict(gates=("NAND2",), techniques=("vulnerable",),
-                      cnts_per_trial=(3,), trials=30, seed=seed_sequence)
-        first = sweep(**kwargs)
-        second = sweep(**kwargs)
-        assert [p.result for p in first] == [p.result for p in second]
+        kwargs = dict(technique=("vulnerable",), cnts_per_trial=(3,),
+                      seed=seed_sequence)
+        first = _immunity_sweep(**kwargs)
+        second = _immunity_sweep(**kwargs)
+        assert [r["result"] for r in first] == [r["result"] for r in second]
         assert seed_sequence.n_children_spawned == 0
 
     def test_sweep_children_do_not_alias_caller_spawns(self):
-        """sweep() derives its children under a reserved spawn key, so a
+        """A sweep derives its children under a reserved spawn key, so a
         caller who spawns their own children from the same SeedSequence gets
-        independent defect populations, not sweep's."""
+        independent defect populations, not the sweep's."""
         root = np.random.SeedSequence(2009)
         child = root.spawn(1)[0]
         cell = assemble_cell(standard_gate("NAND2"), technique="vulnerable",
                              scheme=1)
         own = run_immunity_trials(cell, trials=40, seed=child)
-        point = sweep(gates=("NAND2",), techniques=("vulnerable",),
-                      trials=40, seed=np.random.SeedSequence(2009))[0]
-        assert own != point.result
+        point = _immunity_sweep(seed=np.random.SeedSequence(2009), trials=40,
+                                technique=("vulnerable",))[0]
+        assert own != point["result"]
 
     def test_process_pool_matches_serial(self):
-        kwargs = dict(gates=("NAND2",), techniques=("vulnerable", "compact"),
+        kwargs = dict(technique=("vulnerable", "compact"),
                       cnts_per_trial=(2, 4), trials=25, seed=4)
-        assert sweep(**kwargs) == sweep(workers=2, **kwargs)
+        assert _immunity_sweep(**kwargs) == _immunity_sweep(jobs=2, **kwargs)
 
     def test_metallic_fraction_dimension(self):
-        points = sweep(gates=("NAND2",), techniques=("compact",),
-                       cnts_per_trial=(4,), metallic_fraction=(0.0, 0.5),
-                       trials=40, seed=9)
-        clean, dirty = points
-        assert clean.result.immune
-        assert dirty.result.failure_rate > clean.result.failure_rate
+        clean, dirty = _immunity_sweep(
+            seed=9, trials=40, technique=("compact",), cnts_per_trial=(4,),
+            metallic_fraction=(0.0, 0.5))
+        assert clean["result"].immune
+        assert dirty["result"].failure_rate > clean["result"].failure_rate
 
 
 class TestMetallicCNTExtension:

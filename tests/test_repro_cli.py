@@ -335,6 +335,26 @@ class TestSweepCommand:
         assert len(restored.records) == 2
         assert all(r.metrics["worst_delay_s"] > 0 for r in restored.records)
 
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--engine", "immunity", "--axis", "cnts_per_trial=2.5",
+         "--trials", "5"),
+        ("sweep", "--engine", "immunity", "--axis", "max_angle_deg=1e400:2:2",
+         "--trials", "5"),
+        ("sweep", "--engine", "immunity", "--axis", "max_angle_deg=inf:1:3",
+         "--trials", "5"),
+        ("sweep", "--engine", "immunity", "--axis", "cnts_per_trial=1,,2",
+         "--trials", "5"),
+        ("run", "fig2", "--param", "engine=loop"),
+    ])
+    def test_bad_immunity_inputs_exit_2_without_traceback(self, argv):
+        """A fractional tube count, a non-finite angle, an empty axis
+        entry or the removed engine switch is a one-line typed error."""
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_bad_axis_fails_cleanly(self):
         code, _, err = run_cli("sweep", "--axis", "nonsense=1,2")
         assert code == 2

@@ -183,13 +183,14 @@ class TestShardedSweepBitIdentity:
 
 class TestMonteCarloSweepRouting:
     def test_workers_still_bit_identical(self):
-        """The montecarlo.sweep pool now routes through the runtime
-        scheduler; the original workers contract must hold unchanged."""
-        from repro.immunity.montecarlo import sweep
-
+        """The immunity_sweep study's ``workers`` run on the sweep
+        driver's runtime scheduler; the workers contract must hold."""
         kwargs = dict(gates=("NAND2",), techniques=("vulnerable", "compact"),
                       cnts_per_trial=(2,), trials=15, seed=4)
-        assert sweep(**kwargs) == sweep(workers=2, **kwargs)
+        serial = experiments.run_immunity_sweep(**kwargs)
+        parallel = experiments.run_immunity_sweep(workers=2, **kwargs)
+        assert parallel.points == serial.points
+        assert parallel.formatted == serial.formatted
 
     def test_single_pool_implementation(self):
         """No parallel code path owns its own executor any more.

@@ -157,6 +157,20 @@ class TestLifecycle:
         assert envelope["study"] == "fig3"
         assert envelope["payload"] == run_study("fig3").to_json_dict()["payload"]
 
+    def test_string_tube_count_fails_with_a_typed_error(self, client):
+        """A ``"4"`` tube count in a sweep body reaches the engine and
+        fails the job with the library's typed error, not a NumPy one."""
+        status, document = client.json("POST", "/jobs", {
+            "study": "sweep", "engine": "immunity",
+            "axes": {"cnts_per_trial": ["4"]},
+            "params": {"trials": 5, "seed": 7},
+        })
+        assert status == 201
+        final = client.poll(document["id"])
+        assert final["status"] == "failed"
+        assert final["error"]["type"] == "ImmunityAnalysisError"
+        assert final["error"]["repro"] is True
+
     def test_job_listing_in_submission_order(self, client):
         first = client.json("POST", "/jobs", {"study": "fig3"})[1]["id"]
         second = client.json(

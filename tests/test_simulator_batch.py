@@ -1,5 +1,5 @@
 """Regressions for the batch transient engine and the characterisation
-sweep: the batch/loop bit-identity contract, measurement parity under
+sweep: the bit-identity contract against the scalar reference loop, measurement parity under
 back-drive, the vectorized PWL evaluator, and the sweep grid."""
 
 import numpy as np
@@ -49,8 +49,8 @@ def _cnfet_chain_case(tubes=6, vdd=1.0, stages=3):
 
 def _loop(case, stop=STOP, step=STEP):
     return TransientSimulator(case.netlist, case.sources,
-                              case.initial_conditions).run(stop, step,
-                                                           engine="loop")
+                              case.initial_conditions).run_reference(stop,
+                                                                     step)
 
 
 def _assert_identical(loop, batch):
@@ -167,7 +167,7 @@ class TestBitIdentity:
         case = _cnfet_chain_case()
         simulator = TransientSimulator(case.netlist, case.sources,
                                        case.initial_conditions)
-        _assert_identical(simulator.run(STOP, STEP, engine="loop"),
+        _assert_identical(simulator.run_reference(STOP, STEP),
                           simulator.run(STOP, STEP))
 
     def test_source_on_unreferenced_net_matches_loop(self):
@@ -185,13 +185,6 @@ class TestBitIdentity:
         _assert_identical(loop, batch)
         assert "monitor" in batch.waveforms
         assert batch.voltage("monitor")[-1] == 1.0
-
-    def test_unknown_engine_rejected(self):
-        case = _cnfet_chain_case()
-        simulator = TransientSimulator(case.netlist, case.sources,
-                                       case.initial_conditions)
-        with pytest.raises(SimulationError):
-            simulator.run(STOP, STEP, engine="spice")
 
 
 class TestMeasurementParity:

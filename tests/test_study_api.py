@@ -13,9 +13,11 @@ Covers the redesign's acceptance criteria:
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.analysis.experiments import (
     run_characterization,
@@ -154,6 +156,54 @@ class TestSweepSpec:
             parse_axis("novalue")
         with pytest.raises(StudyError):
             parse_axis("bad=1:2")
+
+    @pytest.mark.parametrize("text", [
+        "max_angle_deg=1e400:2:2", "max_angle_deg=inf:1:3", "a=1:nan:3",
+        "a=-1e308:1e308:3", "a=nan", "a=1,inf", "a=1e400",
+        "a=1,,2", "a=1,", "a=,", "a= , 2",
+    ])
+    def test_parse_axis_rejects_non_finite_and_empty_values(self, text):
+        with pytest.raises(StudyError):
+            parse_axis(text)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(
+        st.text(max_size=24),
+        st.builds(
+            lambda name, body: f"{name}={body}",
+            st.sampled_from(["a", "vdd", " ", ""]),
+            st.one_of(
+                st.builds(
+                    lambda start, stop, steps: f"{start}:{stop}:{steps}",
+                    st.floats().map(repr) | st.sampled_from(
+                        ["1e400", "-inf", "nan", "x", ""]),
+                    st.floats().map(repr),
+                    st.integers(min_value=-2, max_value=64)),
+                st.lists(st.floats().map(repr) | st.integers().map(str)
+                         | st.sampled_from(["", " ", "1e400", "NAND2"]),
+                         min_size=1, max_size=4).map(",".join),
+            )),
+    ))
+    def test_parse_axis_is_total(self, text):
+        """Any text is either a StudyError or an axis of finite numbers
+        and non-empty values.  Huge step counts are valid, merely
+        expensive requests, so they are left out."""
+        _, _, body = text.partition("=")
+        parts = body.split(":")
+        if len(parts) == 3:
+            try:
+                assume(int(parts[2]) <= 10_000)
+            except ValueError:
+                pass
+        try:
+            axis = parse_axis(text)
+        except StudyError:
+            return
+        assert axis.values
+        for value in axis.values:
+            assert value != ""
+            if isinstance(value, float):
+                assert math.isfinite(value)
 
     def test_seed_contract_sharing_and_independence(self):
         spec = SweepSpec.from_mapping({
@@ -420,9 +470,8 @@ class TestRegistry:
         assert first.provenance.package_version
 
     def test_provenance_records_seed_and_engine(self):
-        result = run_fig2_immunity(trials=10, seed=123, engine="loop")
+        result = run_fig2_immunity(trials=10, seed=123)
         assert result.provenance.seed == 123
-        assert result.provenance.engine == "loop"
         assert result.provenance.params["trials"] == 10
 
 
@@ -432,26 +481,34 @@ class TestRegistry:
 
 class TestUnifiedSweep:
     def test_immunity_grid_matches_canonical_sweep(self):
-        from repro.immunity.montecarlo import sweep as canonical
+        """The grid seed contract, spelled out independently: one child
+        per (gate, cnts, angle, metallic) combination, spawned in product
+        order from a fresh ``SeedSequence(seed)`` under the reserved
+        spawn-key element ``1 << 31``, shared by every technique."""
+        from repro.core import assemble_cell
+        from repro.immunity import run_immunity_trials
+        from repro.logic import standard_gate
 
         spec = SweepSpec.from_mapping({
             "cnts_per_trial": (2, 4),
             "technique": ("vulnerable", "compact"),
         })
         study = run_sweep_study(spec, engine="immunity", trials=30, seed=7)
-        points = canonical(
-            gates=("NAND2",), techniques=("vulnerable", "compact"),
-            cnts_per_trial=(2, 4), trials=30, seed=7,
-        )
-        canonical_rates = {
-            (p.cnts_per_trial, p.technique): p.failure_rate for p in points
+        root = np.random.SeedSequence(7, spawn_key=(1 << 31,))
+        children = dict(zip((2, 4), root.spawn(2)))
+        canonical = {
+            (cnts, technique): run_immunity_trials(
+                assemble_cell(standard_gate("NAND2"), technique=technique),
+                trials=30, cnts_per_trial=cnts, seed=children[cnts])
+            for cnts in (2, 4) for technique in ("vulnerable", "compact")
         }
         assert len(study.records) == 4
         for record in study.records:
             corner = record.corner.as_dict()
-            assert record.metrics["failure_rate"] == canonical_rates[
-                (corner["cnts_per_trial"], corner["technique"])
-            ]
+            expected = canonical[(corner["cnts_per_trial"],
+                                  corner["technique"])]
+            assert record.metrics["result"] == expected
+            assert record.metrics["failure_rate"] == expected.failure_rate
 
     def test_immunity_zip_shares_populations_across_techniques(self):
         spec = SweepSpec.from_mapping(
