@@ -18,7 +18,8 @@ from repro.circuit import (
     fo4_metrics,
     fo4_metrics_transient,
 )
-from repro.devices import FO4_GATE_WIDTH_NM, calibrated_cnfet_parameters, paper_anchors
+from repro.devices import FO4_GATE_WIDTH_NM, calibrated_cnfet_parameters
+from repro.paper import anchor
 
 
 def sweep():
@@ -31,7 +32,7 @@ def sweep():
           f"{sensitivity.delay_variation * 100:.1f}% "
           f"(paper: ~{sensitivity.paper_variation * 100:.0f}%)")
     print(f"Inverter area gain vs CMOS: {result.inverter_area_gain:.2f}x "
-          f"(paper: {paper_anchors().inverter_area_gain}x)")
+          f"(paper: {anchor('fig7.inverter_area_gain').paper}x)")
     return result
 
 

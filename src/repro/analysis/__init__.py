@@ -5,7 +5,6 @@ Every ``run_*`` runner returns a typed, Mapping-compatible
 """
 
 from .experiments import (
-    run_all,
     run_characterization,
     run_edp_summary,
     run_fig2_immunity,
@@ -21,7 +20,6 @@ from .experiments import (
 from .metrics import GainReport, TechnologyFigures, edap, edp, gain
 
 __all__ = [
-    "run_all",
     "run_characterization",
     "run_edp_summary",
     "run_fig2_immunity",

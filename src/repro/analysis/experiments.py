@@ -8,6 +8,7 @@ Mapping access to the payload (``result["optimal"]["delay_gain"]``).
 
 from __future__ import annotations
 
+import numbers
 from typing import Dict, List, Optional, Sequence
 
 from ..cells.characterize import (
@@ -29,8 +30,8 @@ from ..devices.calibration import (
     CMOS_PMOS_WIDTH_NM,
     FO4_GATE_WIDTH_NM,
     calibrated_cnfet_parameters,
-    paper_anchors,
 )
+from ..errors import StudyError
 from ..flow.designkit import CNFETDesignKit
 from ..flow.verilog import full_adder_netlist
 from ..immunity.montecarlo import (
@@ -41,6 +42,7 @@ from ..immunity.montecarlo import (
     format_sweep,
 )
 from ..logic.functions import aoi31, standard_gate
+from ..paper import anchor
 from ..study.results import (
     CharacterizationResult,
     EdpSummaryResult,
@@ -55,7 +57,6 @@ from ..study.results import (
     ImmunitySweepResult,
     PitchSensitivityResult,
     Provenance,
-    StudyResult,
     Table1Result,
 )
 from ..study.spec import SweepSpec
@@ -94,7 +95,7 @@ def run_fig3_nand3(unit_width: float = 4.0) -> Fig3Result:
         baseline_area=row.baseline_area,
         compact_area=row.compact_area,
         measured_saving=row.measured_saving,
-        paper_saving=paper_anchors().nand3_area_saving_4lambda,
+        paper_saving=anchor("fig3.nand3_saving_4l").paper,
     )
 
 
@@ -217,9 +218,11 @@ def run_fig4_aoi31(unit_width: float = 4.0) -> Fig4Result:
 def run_fig7_fo4(max_tubes: int = 20, gate_width_nm: float = FO4_GATE_WIDTH_NM,
                  vdd: float = 1.0) -> Fig7Result:
     """Sweep the number of CNTs per device at fixed gate width (Figure 7)."""
+    if isinstance(max_tubes, bool) \
+            or not isinstance(max_tubes, numbers.Integral) or max_tubes < 1:
+        raise StudyError(f"max_tubes must be an integer >= 1, got {max_tubes!r}")
     params = calibrated_cnfet_parameters()
     reference = cmos_inverter(CMOS_NMOS_WIDTH_NM, CMOS_PMOS_WIDTH_NM)
-    anchors = paper_anchors()
 
     points: List[FO4GainPoint] = []
     best_index = 0
@@ -252,12 +255,12 @@ def run_fig7_fo4(max_tubes: int = 20, gate_width_nm: float = FO4_GATE_WIDTH_NM,
         optimal=points[best_index],
         inverter_area_gain=area.gain,
         paper={
-            "delay_gain_single_cnt": anchors.fo4_delay_gain_single_cnt,
-            "energy_gain_single_cnt": anchors.fo4_energy_gain_single_cnt,
-            "delay_gain_optimal": anchors.fo4_delay_gain_optimal,
-            "energy_gain_optimal": anchors.fo4_energy_gain_optimal,
-            "optimal_pitch_nm": anchors.optimal_pitch_nm,
-            "inverter_area_gain": anchors.inverter_area_gain,
+            "delay_gain_single_cnt": anchor("fig7.single.delay_gain").paper,
+            "energy_gain_single_cnt": anchor("fig7.single.energy_gain").paper,
+            "delay_gain_optimal": anchor("fig7.optimal.delay_gain").paper,
+            "energy_gain_optimal": anchor("fig7.optimal.energy_gain").paper,
+            "optimal_pitch_nm": anchor("fig7.optimal.pitch_nm").paper,
+            "inverter_area_gain": anchor("fig7.inverter_area_gain").paper,
         },
     )
 
@@ -389,7 +392,7 @@ def run_pitch_sensitivity(gate_width_nm: float = FO4_GATE_WIDTH_NM,
         pitch_low_nm=low,
         pitch_high_nm=high,
         delay_variation=variation,
-        paper_variation=paper_anchors().optimal_pitch_delay_variation,
+        paper_variation=anchor("pitch.delay_variation").paper,
     )
 
 
@@ -399,7 +402,6 @@ def run_pitch_sensitivity(gate_width_nm: float = FO4_GATE_WIDTH_NM,
 
 def run_fulladder_case_study(unit_width: float = 4.0) -> FullAdderResult:
     """Full-adder delay/energy/area for scheme 1, scheme 2 and CMOS."""
-    anchors = paper_anchors()
     netlist = full_adder_netlist()
 
     kits = {
@@ -437,10 +439,9 @@ def run_fulladder_case_study(unit_width: float = 4.0) -> FullAdderResult:
         area_gain_scheme1=gains[1].area_gain,
         area_gain_scheme2=gains[2].area_gain,
         paper={
-            "delay_gain": anchors.fulladder_delay_gain,
-            "energy_gain": anchors.fulladder_energy_gain,
-            "area_gain_scheme1": anchors.fulladder_area_gain_scheme1,
-            "area_gain_scheme2": anchors.fulladder_area_gain_scheme2,
+            key: anchor(f"fig8.{key}").paper
+            for key in ("delay_gain", "energy_gain", "area_gain_scheme1",
+                        "area_gain_scheme2")
         },
         flow_results=results,
     )
@@ -466,7 +467,6 @@ def run_edp_summary() -> EdpSummaryResult:
     best = fig7.optimal
     single = fig7.single_cnt
     area_gain = fig7.inverter_area_gain
-    anchors = paper_anchors()
     edp_gain_optimal = best.delay_gain * best.energy_gain
     edp_gain_single = single.delay_gain * single.energy_gain
     return EdpSummaryResult(
@@ -478,37 +478,8 @@ def run_edp_summary() -> EdpSummaryResult:
         edp_gain_single_cnt=edp_gain_single,
         edp_gain_best=max(edp_gain_optimal, edp_gain_single),
         edap_gain_optimal=edp_gain_optimal * area_gain,
-        paper_edp_gain=anchors.edp_gain_headline,
-        paper_edap_gain=anchors.edap_gain_headline,
-        paper_area_saving=0.30,
+        paper_edp_gain=anchor("edp.edp_gain_best").paper,
+        paper_edap_gain=anchor("edp.edap_gain_optimal").paper,
+        paper_area_saving=anchor("edp.area_gain").paper,
     )
 
-
-def run_all(fast: bool = True) -> Dict[str, StudyResult]:
-    """Run every experiment; with ``fast`` the Monte Carlo trial count is
-    reduced so the whole suite stays interactive."""
-    trials = 50 if fast else 500
-    return {
-        "table1": run_table1(),
-        "fig2_immunity": run_fig2_immunity(trials=trials),
-        "immunity_sweep": run_immunity_sweep(
-            gates=("NAND2",), cnts_per_trial=(2, 4, 8), trials=trials
-        ),
-        "fig3_nand3": run_fig3_nand3(),
-        "fig4_aoi31": run_fig4_aoi31(),
-        "fig7_fo4": run_fig7_fo4(),
-        "fo4_transient_sweep": run_fo4_transient_sweep(
-            tube_counts=(1, 6) if fast else (1, 2, 4, 6, 8, 12)
-        ),
-        "characterization": run_characterization(
-            gates=("INV", "NAND2") if fast else ("INV", "NAND2", "NAND3"),
-            drive_strengths=(1.0,) if fast else (1.0, 2.0, 4.0),
-        ),
-        "pitch_sensitivity": run_pitch_sensitivity(),
-        "fulladder": run_fulladder_case_study(),
-        "edp_summary": run_edp_summary(),
-        "circuit": run_circuit_study(
-            "adder:2" if fast else "adder:8", trials=trials,
-            draws=200 if fast else 2000,
-        ),
-    }

@@ -1,7 +1,6 @@
 """The paper's core contribution: compact imperfection-immune CNFET layouts."""
 
 from .area import (
-    PAPER_TABLE1,
     TABLE1_CELLS,
     TABLE1_WIDTHS,
     AreaComparisonRow,
@@ -58,7 +57,7 @@ from .standard_cell import (
 )
 
 __all__ = [
-    "PAPER_TABLE1", "TABLE1_CELLS", "TABLE1_WIDTHS",
+    "TABLE1_CELLS", "TABLE1_WIDTHS",
     "AreaComparisonRow", "CellAreaGain", "NetworkAreas",
     "area_saving", "baseline_network_areas", "cell_area_gain",
     "compact_network_areas", "format_table1", "inverter_area_gain", "table1",

@@ -11,36 +11,21 @@ The paper quantifies its contribution through three area comparisons:
   separation (6 λ vs 10 λ).
 
 The functions here drive the layout generators and report paper-vs-measured
-values; the benchmarks print them as tables.
+values; the paper's numbers come from :mod:`repro.paper`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..logic.functions import standard_gate
 from ..logic.network import GateNetworks
+from ..paper import TABLE1_CELLS, TABLE1_WIDTHS, table1_saving
 from ..tech.lambda_rules import CMOS_RULES, CNFET_RULES, DesignRules
 from .grid import baseline_network_layout
 from .compact import compact_network_layout
 from .standard_cell import assemble_cell, cmos_cell_area
-
-#: Table 1 of the paper: relative area saving of the new layouts over the
-#: baseline technique, per cell and unit transistor width (in λ).
-PAPER_TABLE1: Dict[str, Dict[float, float]] = {
-    "INV": {3: 0.0, 4: 0.0, 6: 0.0, 10: 0.0},
-    "NAND2": {3: 0.1718, 4: 0.1452, 6: 0.1167, 10: 0.0925},
-    "NAND3": {3: 0.1964, 4: 0.1667, 6: 0.1345, 10: 0.1071},
-    "AOI22": {3: 0.322, 4: 0.277, 6: 0.225, 10: 0.149},
-    "AOI21": {3: 0.443, 4: 0.406, 6: 0.364, 10: 0.325},
-}
-
-#: Cell order used when printing Table 1.
-TABLE1_CELLS: Tuple[str, ...] = ("INV", "NAND2", "NAND3", "AOI22", "AOI21")
-
-#: Unit transistor widths of Table 1 (λ).
-TABLE1_WIDTHS: Tuple[float, ...] = (3.0, 4.0, 6.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -101,7 +86,7 @@ def area_saving(gate: GateNetworks, unit_width: float,
     """Compute one Table 1 entry for an arbitrary gate."""
     baseline = baseline_network_areas(gate, unit_width, rules)
     compact = compact_network_areas(gate, unit_width, rules)
-    paper = PAPER_TABLE1.get(gate.name, {}).get(unit_width)
+    paper = table1_saving(gate.name, unit_width)
     return AreaComparisonRow(
         cell=gate.name,
         unit_width=unit_width,

@@ -28,7 +28,7 @@ from ..geometry.layout import LayoutCell
 from ..geometry.primitives import Rect
 from ..logic.network import GateNetworks, SPLeaf, SPNode, SPParallel, SPSeries
 from ..tech.lambda_rules import CNFET_RULES, DesignRules
-from .sizing import leaf_width_factors
+from .sizing import check_unit_width, leaf_width_factors
 from .spec import (
     ActiveRegion,
     CellAnnotations,
@@ -189,6 +189,7 @@ def _grid_network_layout(
     cell_name: str,
     output_net: str = "out",
 ) -> NetworkLayoutResult:
+    check_unit_width(unit_width)
     widths = [factor * unit_width for factor in leaf_width_factors(gate_tree)]
     planner = _GridPlanner(rules, device, etched, widths)
     block = planner.plan(gate_tree)

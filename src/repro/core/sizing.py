@@ -16,6 +16,8 @@ Two concerns from the paper:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
@@ -69,6 +71,16 @@ def leaf_width_factors(tree: SPNode) -> List[float]:
     return factors
 
 
+def check_unit_width(unit_width: object) -> None:
+    """Raise :class:`~repro.errors.NetworkError` unless ``unit_width`` is a
+    finite positive number (λ) — the one check every layout path makes."""
+    if isinstance(unit_width, bool) or not isinstance(unit_width, numbers.Real) \
+            or not math.isfinite(unit_width) or unit_width <= 0:
+        raise NetworkError(
+            f"unit_width must be a finite positive number, got {unit_width!r}"
+        )
+
+
 def width_map_for_network(tree: SPNode, network: TransistorNetwork,
                           unit_width: float) -> Dict[str, float]:
     """Per-transistor widths (in λ) for a flattened network.
@@ -77,8 +89,7 @@ def width_map_for_network(tree: SPNode, network: TransistorNetwork,
     enumerates leaves in the same order as a depth-first traversal of the
     tree, so factors and transistors can be zipped positionally.
     """
-    if unit_width <= 0:
-        raise NetworkError("unit_width must be positive")
+    check_unit_width(unit_width)
     factors = leaf_width_factors(tree)
     if len(factors) != len(network.transistors):
         raise NetworkError(

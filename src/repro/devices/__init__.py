@@ -4,12 +4,9 @@ from .calibration import (
     CMOS_NMOS_WIDTH_NM,
     CMOS_PMOS_WIDTH_NM,
     FO4_GATE_WIDTH_NM,
-    PaperAnchors,
     calibrated_cnfet_parameters,
     calibrated_nmos_parameters,
     calibrated_pmos_parameters,
-    fit_report,
-    paper_anchors,
 )
 from .cnfet import CNFET, CNFETParameters
 from .cnt import (
@@ -26,12 +23,9 @@ __all__ = [
     "CMOS_NMOS_WIDTH_NM",
     "CMOS_PMOS_WIDTH_NM",
     "FO4_GATE_WIDTH_NM",
-    "PaperAnchors",
     "calibrated_cnfet_parameters",
     "calibrated_nmos_parameters",
     "calibrated_pmos_parameters",
-    "fit_report",
-    "paper_anchors",
     "CNFET",
     "CNFETParameters",
     "Chirality",

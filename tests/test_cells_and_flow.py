@@ -13,7 +13,7 @@ from repro.cells import (
     device_for_width,
     write_liberty,
 )
-from repro.circuit import GateNetlist
+from repro.circuit import GateNetlist, analyse_netlist
 from repro.errors import (
     FlowError,
     LibraryError,
@@ -303,6 +303,23 @@ class TestVerilogDiagnostics:
             parse_structural_verilog(text)
         assert excinfo.value.line == 4
 
+    @pytest.mark.parametrize("instance, problem", [
+        ("NAND2 u1 (.A(a), .out(y));", "missing pin B"),
+        ("INV u1 (.A(a), .B(a), .out(y));", "unknown pin B"),
+        ("NAND2 u1 (.A(a), .A(a), .out(y));", "pin A twice"),
+    ], ids=["missing", "unknown", "repeated"])
+    def test_instance_pins_must_be_the_cell_inputs_plus_out(self, instance,
+                                                             problem):
+        text = ("module m (a, y);\n"
+                "  input a;\n"
+                "  output y;\n"
+                f"  {instance}\n"
+                "endmodule\n")
+        with pytest.raises(VerilogParseError) as excinfo:
+            parse_structural_verilog(text)
+        assert (excinfo.value.line, excinfo.value.column) == (4, 3), problem
+        assert "needs exactly" in str(excinfo.value)
+
     def test_known_cells_override_and_opt_out(self):
         text = ("module m (a, y);\n"
                 "  input a;\n"
@@ -411,3 +428,23 @@ class TestDesignKit:
 
     def test_liberty_view_available(self, small_kit):
         assert "library (" in small_kit.liberty()
+
+    def test_measured_timing_flow(self):
+        """The full adder on a *measured* timing library: the INV/NAND2
+        cells are characterised on the batch transient engine, the
+        Liberty view records the origin, and the waveform-measured
+        critical path agrees with the logical-effort estimate within a
+        factor 3."""
+        kit = CNFETDesignKit(gate_set=("INV", "NAND2"),
+                             drive_strengths=(1.0, 2.0, 4.0),
+                             scheme=1, timing_source="measured")
+        result = kit.run_flow(full_adder_netlist())
+        reference = CNFETDesignKit(gate_set=("INV", "NAND2"),
+                                   drive_strengths=(1.0, 2.0, 4.0), scheme=1)
+        estimated = analyse_netlist(full_adder_netlist(),
+                                    reference.library.timing_library())
+        measured_delay = result.report.timing.critical_path_delay
+        assert "/* timing_source : measured */" in kit.liberty()
+        assert measured_delay > 0
+        assert 1 / 3 < measured_delay / estimated.critical_path_delay < 3
+        assert result.report.delay_gain_vs_cmos > 1.0

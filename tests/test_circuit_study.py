@@ -432,6 +432,16 @@ class TestCli:
         assert code == 2
         assert "warp" in err
 
+    def test_instance_with_wrong_pins_exits_2(self, tmp_path):
+        source = tmp_path / "bad.v"
+        source.write_text("module m (a, y);\n  input a;\n  output y;\n"
+                          "  NAND2 u1 (.A(a), .out(y));\nendmodule\n",
+                          encoding="utf-8")
+        code, _, err = run_cli("circuit", str(source), "--trials", "5")
+        assert code == 2
+        assert err.startswith("error: ") and "needs exactly" in err
+        assert "(line 4, column 3)" in err
+
     def test_missing_file_exits_2(self, tmp_path):
         code, _, err = run_cli("circuit", str(tmp_path / "absent.v"))
         assert code == 2

@@ -11,9 +11,7 @@ from repro.devices import (
     MOSFET,
     ballistic_on_current,
     calibrated_cnfet_parameters,
-    fit_report,
     oxide_capacitance_per_length,
-    paper_anchors,
     quantum_capacitance_per_length,
 )
 from repro.errors import DeviceModelError
@@ -152,34 +150,10 @@ class TestMOSFETModel:
 
 
 class TestCalibration:
-    def test_anchor_values_recorded(self):
-        anchors = paper_anchors()
-        assert anchors.fo4_delay_gain_optimal == pytest.approx(4.2)
-        assert anchors.optimal_pitch_nm == pytest.approx(5.0)
-        assert anchors.edap_gain_headline == pytest.approx(12.0)
-
-    def test_fit_matches_paper_anchors(self):
-        report = fit_report()
-        anchors = paper_anchors()
-        assert report["delay_gain_single_cnt"] == pytest.approx(
-            anchors.fo4_delay_gain_single_cnt, rel=0.10
-        )
-        assert report["energy_gain_single_cnt"] == pytest.approx(
-            anchors.fo4_energy_gain_single_cnt, rel=0.10
-        )
-        assert report["delay_gain_optimal"] == pytest.approx(
-            anchors.fo4_delay_gain_optimal, rel=0.10
-        )
-        assert report["energy_gain_optimal"] == pytest.approx(
-            anchors.fo4_energy_gain_optimal, rel=0.15
-        )
-        assert report["optimal_pitch_nm"] == pytest.approx(
-            anchors.optimal_pitch_nm, rel=0.15
-        )
-
     def test_cmos_reference_fo4_is_plausible_for_65nm(self):
-        report = fit_report()
-        assert 10.0 < report["cmos_fo4_delay_ps"] < 40.0
+        from repro.analysis import run_fig7_fo4
+
+        assert 10.0 < run_fig7_fo4().optimal.cmos_delay_ps < 40.0
 
     def test_calibrated_on_current_is_physical(self):
         params = calibrated_cnfet_parameters()

@@ -20,6 +20,7 @@ from repro.immunity import (
 from repro.immunity.montecarlo import run_reference_trials
 from repro.logic import standard_gate
 from repro.study import SweepSpec, run_sweep_study
+from repro.study.spec import sweep_root
 
 
 class TestCNTInstance:
@@ -387,6 +388,25 @@ class TestSeedSharing:
             for technique in batch
         }
         assert batch == loop
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x", True, [1, 2],
+                                      np.float64(3.0)],
+                             ids=["negative", "float", "str", "bool", "list",
+                                  "numpy_float"])
+    def test_bad_seeds_are_typed_errors(self, seed):
+        """One coercion point: the trial runner and the sweep root reject
+        every seed but None, a SeedSequence or a non-negative integer."""
+        cell = assemble_cell(standard_gate("NAND2"), scheme=1)
+        with pytest.raises(ImmunityAnalysisError, match="seed"):
+            run_immunity_trials(cell, trials=5, seed=seed)
+        with pytest.raises(ImmunityAnalysisError, match="seed"):
+            sweep_root(seed)
+
+    def test_integer_seeds_of_either_kind_agree(self):
+        cell = assemble_cell(standard_gate("NAND2"), scheme=1)
+        results = [run_immunity_trials(cell, trials=5, seed=seed)
+                   for seed in (7, np.int64(7), np.random.SeedSequence(7))]
+        assert results[0] == results[1] == results[2]
 
 
 def _immunity_sweep(seed, jobs=None, trials=30, **axes):

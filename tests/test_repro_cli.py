@@ -345,10 +345,17 @@ class TestSweepCommand:
         ("sweep", "--engine", "immunity", "--axis", "cnts_per_trial=1,,2",
          "--trials", "5"),
         ("run", "fig2", "--param", "engine=loop"),
+        ("run", "fig2", "--seed", "-1"),
+        ("run", "fig2", "--param", "seed=1.5"),
+        ("run", "fig3", "--param", "unit_width=nan", "--json", "-"),
+        ("run", "fig3", "--param", "unit_width=x"),
+        ("run", "fig7", "--param", "max_tubes=-3"),
     ])
     def test_bad_immunity_inputs_exit_2_without_traceback(self, argv):
         """A fractional tube count, a non-finite angle, an empty axis
-        entry or the removed engine switch is a one-line typed error."""
+        entry, the removed engine switch, a negative or fractional seed, a
+        non-finite or non-numeric unit width or a tube count below one is
+        a one-line typed error."""
         code, out, err = run_cli(*argv)
         assert code == 2
         assert err.startswith("error: ")

@@ -171,6 +171,25 @@ class TestLifecycle:
         assert final["error"]["type"] == "ImmunityAnalysisError"
         assert final["error"]["repro"] is True
 
+    @pytest.mark.parametrize("body, error", [
+        ({"study": "fig2", "params": {"trials": 5, "seed": "x"}},
+         "ImmunityAnalysisError"),
+        ({"study": "circuit", "params": {
+            "circuit": "module m (a, y); input a; output y; "
+                       "INV u1 (.A(a), .B(a), .out(y)); endmodule",
+            "trials": 5}}, "VerilogParseError"),
+    ], ids=["string_seed", "verilog_unknown_pin"])
+    def test_bad_params_fail_with_a_typed_error(self, client, body, error):
+        """A ``"x"`` seed reaches the one seed coercion point, and an
+        instance with a pin its cell lacks reaches the Verilog parser: both
+        fail the job with the library's typed error."""
+        status, document = client.json("POST", "/jobs", body)
+        assert status == 201
+        final = client.poll(document["id"])
+        assert final["status"] == "failed"
+        assert final["error"]["type"] == error
+        assert final["error"]["repro"] is True
+
     def test_job_listing_in_submission_order(self, client):
         first = client.json("POST", "/jobs", {"study": "fig3"})[1]["id"]
         second = client.json(

@@ -14,7 +14,7 @@ from repro.cells import (
     measured_timing_models,
     sensitizing_assignment,
 )
-from repro.cells.characterize import _plan_cell_cases
+from repro.cells.characterize import _measure_case, _plan_cell_cases
 from repro.circuit import (
     CompiledTransientBatch,
     PiecewiseLinearSource,
@@ -126,18 +126,36 @@ class TestBitIdentity:
             assert result.voltage("out")[0] > result.vdd      # back-drive
             _assert_identical(_loop(case), result)
 
-    def test_circuit_study_nand2_drives_match_loop(self):
-        """The circuit study's NAND2 2X and 4X timing batches, planned
-        exactly as the study plans them (full time base, both measured
-        loads): batch == loop byte for byte."""
-        technology = cnfet_technology()
-        for drive in (2.0, 4.0):
-            _, _, _, cases, stop, step = _plan_cell_cases(
-                "NAND2", (drive,), MEASURED_LOADS_F, (MEASURED_SLEW_S,),
-                {"nominal": technology}, 4.0, None)
+    @pytest.mark.parametrize("gate, grids", [
+        # The circuit study's NAND2 2X and 4X timing batches (full time
+        # base, both measured loads).
+        ("NAND2", [((2.0,), MEASURED_LOADS_F, (MEASURED_SLEW_S,)),
+                   ((4.0,), MEASURED_LOADS_F, (MEASURED_SLEW_S,))]),
+        # The Figure 3 NAND3 stimulus.
+        ("NAND3", [((1.0, 2.0), (2e-15,), (5e-12,))]),
+        # The Figure 4 AOI31: series/parallel PUN and PDN with internal
+        # nodes.
+        ("AOI31", [((1.0,), (1e-15, 4e-15), (5e-12,))]),
+    ], ids=["NAND2", "NAND3", "AOI31"])
+    def test_planned_grid_matches_loop(self, gate, grids):
+        """Characterisation grids planned exactly as ``characterize_sweep``
+        plans them: batch == loop byte for byte, and the measured delays
+        are physical (positive, under 100 ps, rising with load)."""
+        for drives, loads, slews in grids:
+            _, pin, labels, cases, stop, step = _plan_cell_cases(
+                gate, drives, loads, slews, {"nominal": cnfet_technology()},
+                4.0, None)
             batch = run_transient_batch(cases, stop, step)
-            for case, result in zip(cases, batch):
+            delays = {}
+            for (drive, load, *_), case, result in zip(labels, cases, batch):
                 _assert_identical(_loop(case, stop=stop, step=step), result)
+                rise, fall, _ = _measure_case(result, pin, result.vdd)
+                assert 0 < rise < 100e-12 and 0 < fall < 100e-12
+                delays[drive, load] = max(rise, fall)
+            for drive in drives:
+                by_load = [delays[drive, load] for load in loads]
+                assert all(light < heavy for light, heavy
+                           in zip(by_load, by_load[1:])), (gate, drive)
 
     def test_supply_only_batch_of_one_matches_loop(self):
         """No integrated net (every net is a rail or driven) and ten
