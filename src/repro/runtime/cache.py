@@ -17,8 +17,6 @@ Two granularities share one store root:
     <root>/
       objects/<key[:2]>/<key>.json     one study entry per fingerprint
       corners/<key[:2]>/<key>.json     one corner envelope per fingerprint
-      stats.json                       cumulative hit/miss/corrupt counters
-                                       (study- and corner-level)
 
 Entry files wrap their payload in a small integrity document
 (``repro-cache-entry/v1`` / ``repro-corner-entry/v1``) carrying the
@@ -31,6 +29,12 @@ answers.
 Writes are atomic (temp file + ``os.replace`` in the same directory), so
 concurrent writers and readers — the scheduler's whole point — never
 observe half an entry.
+
+The store itself keeps no counters: :meth:`ResultCache.stats` scans what
+is on disk, and hits, misses, corrupt reads, puts and evictions go to
+the process metrics registry and the active trace span (``cache.hits``,
+``cache.corner_misses``, ...) — per process, so any number of processes
+can share one store without losing a count.
 
 The default store location is ``.repro-cache/`` under the current
 directory; the ``REPRO_CACHE_DIR`` environment variable or an explicit
@@ -46,14 +50,15 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, Iterator, Optional, Sequence, Tuple,
+                    Union)
 
 from ..errors import CacheError
 from ..obs import clock as obs_clock
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..study.results import StudyResult
-from .scheduler import make_lock
+from ..study.serialize import decode, encode
 
 #: Version tag of the on-disk cache entry wrapper.
 CACHE_SCHEMA = "repro-cache-entry/v1"
@@ -70,61 +75,57 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 CacheLike = Union[None, bool, str, os.PathLike, "ResultCache"]
 
-#: One lock per stats file (keyed by absolute path), shared by every
-#: :class:`ResultCache` instance in the process.  Counter persistence is
-#: a read-modify-write of ``stats.json``; without mutual exclusion two
-#: concurrent service jobs interleave and drop increments.  The lock
-#: comes from :func:`~repro.runtime.scheduler.make_lock` — the
-#: scheduler module is the sanctioned home of concurrency primitives.
-_STATS_LOCKS: Dict[str, Any] = {}
-_STATS_LOCKS_GUARD = make_lock()
+
+@dataclass(frozen=True)
+class _Granularity:
+    """How one kind of entry is filed, wrapped, decoded and counted."""
+
+    tree: str                       # directory under the store root
+    schema: str                     # the wrapper's schema tag
+    body: str                       # the wrapper field holding the payload
+    counter: str                    # counter-name prefix after ``cache.``
+    kind: str                       # label in eviction events and errors
+    decode: Callable[[Any], Any]    # validated body -> stored value
 
 
-def _stats_lock(path: Path):
-    """The process-wide lock serialising counter updates of ``path``."""
-    key = os.path.abspath(os.fspath(path))
-    with _STATS_LOCKS_GUARD:
-        lock = _STATS_LOCKS.get(key)
-        if lock is None:
-            lock = make_lock()
-            _STATS_LOCKS[key] = lock
-    return lock
+_STUDY = _Granularity("objects", CACHE_SCHEMA, "result", "", "study",
+                      StudyResult.from_json_dict)
+_CORNER = _Granularity("corners", CORNER_SCHEMA, "payload", "corner_",
+                       "corner", decode)
+
+
+def _count(**deltas: int) -> None:
+    """Add nonzero counter deltas to the process metrics registry and the
+    active trace span (if any), as ``cache.<name>``."""
+    for name, value in deltas.items():
+        if value:
+            obs_metrics.registry().inc(f"cache.{name}", value)
+            obs_trace.add(f"cache.{name}", value)
 
 
 @dataclass(frozen=True)
 class CacheStats:
-    """One snapshot of a cache store: contents plus lifetime counters."""
+    """What one scan of a cache store finds: entry counts and bytes of
+    both granularities, plus study entries per study."""
 
     root: str
     entries: int = 0
     total_bytes: int = 0
     by_study: Dict[str, int] = field(default_factory=dict)
-    hits: int = 0
-    misses: int = 0
-    corrupt: int = 0
     corner_entries: int = 0
     corner_bytes: int = 0
-    corner_hits: int = 0
-    corner_misses: int = 0
-    corner_corrupt: int = 0
 
     def __str__(self) -> str:
         lines = [
             f"cache root   : {self.root}",
             f"entries      : {self.entries}",
             f"total bytes  : {self.total_bytes}",
-            f"hits         : {self.hits}",
-            f"misses       : {self.misses}",
-            f"corrupt      : {self.corrupt}",
         ]
         for study in sorted(self.by_study):
             lines.append(f"  {study:<12}: {self.by_study[study]}")
         lines += [
             f"corner entries : {self.corner_entries}",
             f"corner bytes   : {self.corner_bytes}",
-            f"corner hits    : {self.corner_hits}",
-            f"corner misses  : {self.corner_misses}",
-            f"corner corrupt : {self.corner_corrupt}",
         ]
         return "\n".join(lines)
 
@@ -165,9 +166,8 @@ class ResultCache:
     >>> _ = cache.put("0" * 64, result)
     >>> cache.get("0" * 64) == result    # warm store: the same result
     True
-    >>> stats = cache.stats()
-    >>> (stats.entries, stats.hits, stats.misses)
-    (1, 1, 1)
+    >>> cache.stats().entries
+    1
     """
 
     def __init__(self, root: Union[None, str, os.PathLike] = None):
@@ -177,49 +177,25 @@ class ResultCache:
 
     # -- paths -----------------------------------------------------------------
 
-    @property
-    def _objects(self) -> Path:
-        return self.root / "objects"
-
-    @property
-    def _corners(self) -> Path:
-        return self.root / "corners"
-
-    @property
-    def _stats_path(self) -> Path:
-        return self.root / "stats.json"
-
     def path_for(self, key: str) -> Path:
         """Where the study entry for ``key`` lives (whether or not it
         exists)."""
-        return self._keyed_path(self._objects, key)
+        return self._path(_STUDY, key)
 
-    def corner_path_for(self, key: str) -> Path:
-        """Where the corner envelope for ``key`` lives (whether or not it
-        exists)."""
-        return self._keyed_path(self._corners, key)
-
-    @staticmethod
-    def _keyed_path(tree: Path, key: str) -> Path:
+    def _path(self, granularity: _Granularity, key: str) -> Path:
         if not key or any(c not in "0123456789abcdef" for c in key):
             raise CacheError(f"Malformed cache key {key!r}")
-        return tree / key[:2] / f"{key}.json"
+        return self.root / granularity.tree / key[:2] / f"{key}.json"
 
-    def _entries(self) -> Iterator[Path]:
-        yield from self._tree_entries(self._objects)
-
-    def _corner_entries(self) -> Iterator[Path]:
-        yield from self._tree_entries(self._corners)
-
-    @staticmethod
-    def _tree_entries(tree: Path) -> Iterator[Path]:
+    def _tree_entries(self, granularity: _Granularity) -> Iterator[Path]:
+        tree = self.root / granularity.tree
         if not tree.is_dir():
             return
         for shard in sorted(tree.iterdir()):
             if shard.is_dir():
                 yield from sorted(shard.glob("*.json"))
 
-    # -- atomic file primitives ------------------------------------------------
+    # -- atomic file primitive -------------------------------------------------
 
     def _write_atomic(self, path: Path, text: str) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -237,93 +213,11 @@ class ResultCache:
                 pass
             raise
 
-    def _bump(self, hits: int = 0, misses: int = 0, corrupt: int = 0,
-              corner_hits: int = 0, corner_misses: int = 0,
-              corner_corrupt: int = 0) -> None:
-        """Fold counter deltas into ``stats.json``.  Strictly best-effort:
-        counters are telemetry, so an unwritable store (read-only mount,
-        foreign ownership) must never turn a valid hit into a failure —
-        the write is simply skipped.  The read-modify-write is serialised
-        by a process-wide per-store lock (shared across instances), so
-        concurrent service jobs never drop an increment; the replace
-        itself is atomic, so a reader never sees half a file."""
-        self._mirror(hits=hits, misses=misses, corrupt=corrupt,
-                     corner_hits=corner_hits, corner_misses=corner_misses,
-                     corner_corrupt=corner_corrupt)
-        with _stats_lock(self._stats_path):
-            counters = self._counters()
-            counters["hits"] += hits
-            counters["misses"] += misses
-            counters["corrupt"] += corrupt
-            counters["corner_hits"] += corner_hits
-            counters["corner_misses"] += corner_misses
-            counters["corner_corrupt"] += corner_corrupt
-            counters["updated"] = obs_clock.wall_time()
-            try:
-                self._write_atomic(self._stats_path, json.dumps(counters))
-            except OSError:
-                pass
+    # -- the one read path and the one write path ------------------------------
 
-    @staticmethod
-    def _mirror(**deltas: int) -> None:
-        """Mirror nonzero counter deltas into the process metrics registry
-        and the active trace span (if any).  ``stats.json`` stays the
-        durable record; the obs copies are the live, queryable view."""
-        for name, value in deltas.items():
-            if value:
-                obs_metrics.registry().inc(f"cache.{name}", value)
-                obs_trace.add(f"cache.{name}", value)
-
-    def _counters(self) -> Dict[str, Any]:
-        try:
-            with open(self._stats_path, "r", encoding="utf-8") as stream:
-                raw = json.load(stream)
-        except (OSError, json.JSONDecodeError):
-            raw = {}
-        return {
-            "hits": int(raw.get("hits", 0)),
-            "misses": int(raw.get("misses", 0)),
-            "corrupt": int(raw.get("corrupt", 0)),
-            "corner_hits": int(raw.get("corner_hits", 0)),
-            "corner_misses": int(raw.get("corner_misses", 0)),
-            "corner_corrupt": int(raw.get("corner_corrupt", 0)),
-        }
-
-    # -- the store API ---------------------------------------------------------
-
-    def get(self, key: str) -> Optional[StudyResult]:
-        """The stored result for ``key``, or ``None`` (a miss).
-
-        Integrity is re-validated on every read; corrupt entries are
-        evicted and count as both *corrupt* and a miss.
-        """
-        path = self.path_for(key)
-        document, corrupt = self._load_entry(path, key)
-        result = None
-        if document is not None:
-            try:
-                result = StudyResult.from_json_dict(document)
-            except Exception:
-                # A digest-valid entry that no longer decodes (result
-                # class reshaped without a version bump, hand-edited
-                # store) is corrupt, not fatal: evict and recompute.
-                corrupt = True
-        if result is None:
-            self._bump(misses=1, corrupt=1 if corrupt else 0)
-            if corrupt:
-                obs_trace.event("cache.evict", key=key, kind="study")
-                obs_metrics.registry().inc("cache.evictions")
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-            return None
-        self._bump(hits=1)
-        return result
-
-    def _load_entry(self, path: Path,
-                    key: str) -> Tuple[Optional[Dict[str, Any]], bool]:
-        """``(envelope, corrupt)``: the validated result envelope, or
+    def _load(self, granularity: _Granularity, path: Path,
+              key: str) -> Tuple[Optional[Any], bool]:
+        """``(body, corrupt)``: the validated wrapper body, or
         ``(None, False)`` for absent and ``(None, True)`` for damaged."""
         try:
             with open(path, "r", encoding="utf-8") as stream:
@@ -334,102 +228,21 @@ class ResultCache:
             return None, True
         if not isinstance(wrapper, dict):
             return None, True
-        envelope = wrapper.get("result")
-        if (wrapper.get("schema") != CACHE_SCHEMA
+        body = wrapper.get(granularity.body)
+        if (wrapper.get("schema") != granularity.schema
                 or wrapper.get("fingerprint") != key
-                or not isinstance(envelope, dict)
-                or wrapper.get("sha256") != _envelope_digest(envelope)):
+                or body is None
+                or wrapper.get("sha256") != _envelope_digest(body)):
             return None, True
-        return envelope, False
+        return body, False
 
-    def put(self, key: str, result: StudyResult) -> Path:
-        """Persist ``result`` under ``key`` atomically; returns the entry
-        path.  Does not touch the hit/miss counters — pair it with the
-        :meth:`get` miss that preceded it."""
-        envelope = result.to_json_dict()
-        wrapper = {
-            "schema": CACHE_SCHEMA,
-            "fingerprint": key,
-            "study": type(result).study_name,
-            "sha256": _envelope_digest(envelope),
-            "created": obs_clock.wall_time(),
-            "result": envelope,
-        }
-        path = self.path_for(key)
-        try:
-            self._write_atomic(path, json.dumps(wrapper, sort_keys=True))
-        except OSError as error:
-            raise CacheError(
-                f"Cannot write cache entry {path}: {error}"
-            ) from error
-        self._mirror(puts=1)
-        return path
-
-    # -- the corner store ------------------------------------------------------
-
-    def get_corner(self, key: str) -> Optional[Any]:
-        """The stored metrics payload for one corner fingerprint, or
-        ``None`` (a miss).
-
-        The integrity discipline mirrors the study store: schema tag,
-        fingerprint and SHA-256 digest are re-validated on every read, and
-        anything that fails — including a digest-valid payload that no
-        longer decodes — is evicted and counted as corner-corrupt.
-        """
-        value, corrupt = self._read_corner(key)
-        if value is None:
-            self._bump(corner_misses=1, corner_corrupt=1 if corrupt else 0)
-        else:
-            self._bump(corner_hits=1)
-        return value
-
-    def _read_corner(self, key: str) -> Tuple[Optional[Any], bool]:
-        """``(decoded payload or None, corrupt)`` — validates, decodes
-        and evicts, but never touches the counters."""
-        from ..study.serialize import decode
-
-        path = self.corner_path_for(key)
-        payload, corrupt = self._load_corner(path, key)
-        value = None
-        if payload is not None:
-            try:
-                value = decode(payload)
-            except Exception:
-                corrupt = True
-        if value is None and corrupt:
-            obs_trace.event("cache.evict", key=key, kind="corner")
-            obs_metrics.registry().inc("cache.evictions")
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        return value, corrupt
-
-    def _load_corner(self, path: Path,
-                     key: str) -> Tuple[Optional[Any], bool]:
-        """``(payload, corrupt)`` — the validated encoded payload, or
-        ``(None, False)`` for absent and ``(None, True)`` for damaged."""
-        try:
-            with open(path, "r", encoding="utf-8") as stream:
-                wrapper = json.load(stream)
-        except FileNotFoundError:
-            return None, False
-        except (OSError, json.JSONDecodeError):
-            return None, True
-        if not isinstance(wrapper, dict):
-            return None, True
-        payload = wrapper.get("payload")
-        if (wrapper.get("schema") != CORNER_SCHEMA
-                or wrapper.get("fingerprint") != key
-                or payload is None
-                or wrapper.get("sha256") != _envelope_digest(payload)):
-            return None, True
-        return payload, False
-
-    def get_corners(self, keys: Sequence[str]) -> Dict[str, Any]:
-        """Bulk :meth:`get_corner`: ``{key: payload}`` for every key that
-        validated, with the hit/miss/corrupt counters folded in as **one**
-        stats write (a sweep diffs hundreds of corners per run)."""
+    def _read(self, granularity: _Granularity,
+              keys: Sequence[str]) -> Dict[str, Any]:
+        """``{key: value}`` for every key whose entry validated and
+        decoded.  Damaged entries — including a digest-valid body that no
+        longer decodes (a result class reshaped without a version bump, a
+        hand-edited store) — are evicted and count as corrupt and missed;
+        a repeated key counts again without a second read."""
         found: Dict[str, Any] = {}
         missing: set = set()
         hits = misses = corrupt = 0
@@ -440,55 +253,95 @@ class ResultCache:
             if key in missing:
                 misses += 1
                 continue
-            value, was_corrupt = self._read_corner(key)
-            if value is None:
-                misses += 1
-                corrupt += 1 if was_corrupt else 0
-                missing.add(key)
-            else:
+            path = self._path(granularity, key)
+            body, damaged = self._load(granularity, path, key)
+            value = None
+            if body is not None:
+                try:
+                    value = granularity.decode(body)
+                except Exception:
+                    damaged = True
+            if value is not None:
                 found[key] = value
                 hits += 1
-        self._bump(corner_hits=hits, corner_misses=misses,
-                   corner_corrupt=corrupt)
+                continue
+            misses += 1
+            missing.add(key)
+            if damaged:
+                corrupt += 1
+                obs_trace.event("cache.evict", key=key,
+                                kind=granularity.kind)
+                obs_metrics.registry().inc("cache.evictions")
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
+        prefix = granularity.counter
+        _count(**{f"{prefix}hits": hits, f"{prefix}misses": misses,
+                  f"{prefix}corrupt": corrupt})
         return found
 
-    def put_corner(self, key: str, metrics: Any,
-                   engine: str = "") -> Path:
-        """Persist one corner's metrics payload under its fingerprint
-        atomically; returns the entry path.  Counter-neutral, like
-        :meth:`put`."""
-        from ..study.serialize import encode
-
-        payload = encode(metrics)
+    def _write(self, granularity: _Granularity, key: str, body: Any,
+               **fields: Any) -> Path:
+        """Wrap ``body`` with its schema tag, fingerprint and digest (plus
+        ``fields``) and persist it atomically; returns the entry path."""
         wrapper = {
-            "schema": CORNER_SCHEMA,
+            "schema": granularity.schema,
             "fingerprint": key,
-            "study": "corner",
-            "engine": engine,
-            "sha256": _envelope_digest(payload),
+            "sha256": _envelope_digest(body),
             "created": obs_clock.wall_time(),
-            "payload": payload,
+            granularity.body: body,
+            **fields,
         }
-        path = self.corner_path_for(key)
+        path = self._path(granularity, key)
         try:
             self._write_atomic(path, json.dumps(wrapper, sort_keys=True))
         except OSError as error:
             raise CacheError(
-                f"Cannot write corner entry {path}: {error}"
+                f"Cannot write {granularity.kind} entry {path}: {error}"
             ) from error
-        self._mirror(corner_puts=1)
+        _count(**{f"{granularity.counter}puts": 1})
         return path
+
+    # -- the store API ---------------------------------------------------------
+
+    def get(self, key: str) -> Optional[StudyResult]:
+        """The stored result for ``key``, or ``None`` (a miss).
+
+        Integrity is re-validated on every read; corrupt entries are
+        evicted and count as both *corrupt* and a miss.
+        """
+        return self._read(_STUDY, (key,)).get(key)
+
+    def put(self, key: str, result: StudyResult) -> Path:
+        """Persist ``result`` under ``key`` atomically; returns the entry
+        path.  Counts a put, not a hit or miss — pair it with the
+        :meth:`get` miss that preceded it."""
+        return self._write(_STUDY, key, result.to_json_dict(),
+                           study=type(result).study_name)
+
+    def get_corners(self, keys: Sequence[str]) -> Dict[str, Any]:
+        """``{key: metrics}`` for every corner fingerprint in ``keys``
+        whose envelope validated, with the same integrity discipline as
+        :meth:`get` (counted as ``cache.corner_*``)."""
+        return self._read(_CORNER, keys)
+
+    def put_corner(self, key: str, metrics: Any,
+                   engine: str = "") -> Path:
+        """Persist one corner's metrics payload under its fingerprint
+        atomically; returns the entry path."""
+        return self._write(_CORNER, key, encode(metrics),
+                           study="corner", engine=engine)
 
     # -- maintenance -----------------------------------------------------------
 
     def stats(self) -> CacheStats:
-        """Scan the store: entry counts, bytes, per-study breakdown (study
-        entries) and corner-store totals, plus the cumulative
-        hit/miss/corrupt counters of both granularities."""
+        """Scan the store: entry counts, bytes and per-study breakdown of
+        the study entries, and the corner-store totals."""
         entries = 0
         total_bytes = 0
         by_study: Dict[str, int] = {}
-        for path in self._entries():
+        for path in self._tree_entries(_STUDY):
             entries += 1
             try:
                 total_bytes += path.stat().st_size
@@ -499,13 +352,12 @@ class ResultCache:
             by_study[study] = by_study.get(study, 0) + 1
         corner_entries = 0
         corner_bytes = 0
-        for path in self._corner_entries():
+        for path in self._tree_entries(_CORNER):
             corner_entries += 1
             try:
                 corner_bytes += path.stat().st_size
             except OSError:
                 pass
-        counters = self._counters()
         return CacheStats(
             root=str(self.root),
             entries=entries,
@@ -513,7 +365,6 @@ class ResultCache:
             by_study=by_study,
             corner_entries=corner_entries,
             corner_bytes=corner_bytes,
-            **counters,
         )
 
     def prune(self, study: Optional[str] = None,
@@ -528,7 +379,7 @@ class ResultCache:
         per granularity (study entries and corner envelopes are bounded
         independently — they have very different cardinalities).  Both
         bounds respect the ``study`` filter and compose: an entry is
-        removed if *either* bound says so.  Counters survive pruning.
+        removed if *either* bound says so.
         """
         if max_age_s is not None and max_age_s < 0:
             raise CacheError(f"max_age_s must be >= 0, got {max_age_s!r}")
@@ -536,9 +387,9 @@ class ResultCache:
             raise CacheError(f"max_entries must be >= 0, got {max_entries!r}")
         removed = 0
         now = obs_clock.wall_time()
-        for tree_paths in (list(self._entries()), list(self._corner_entries())):
+        for granularity in (_STUDY, _CORNER):
             candidates = []
-            for path in tree_paths:
+            for path in self._tree_entries(granularity):
                 try:
                     with open(path, "r", encoding="utf-8") as stream:
                         wrapper = json.load(stream)

@@ -113,7 +113,10 @@ def run_tasks(
             return results
     executor_type = (ProcessPoolExecutor if backend == "process"
                      else ThreadPoolExecutor)
-    with executor_type(max_workers=min(jobs, len(tasks))) as pool:
+    # A request may ask for any number of jobs; the pool never exceeds
+    # the tasks or the host's cores (results do not depend on it).
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    with executor_type(max_workers=workers) as pool:
         if tracer is None:
             return list(pool.map(fn, tasks))
         # Traced path: submit each task individually and collect results
@@ -137,8 +140,8 @@ def make_lock() -> threading.Lock:
 
     This module and ``service/jobs.py`` are the only places allowed to
     construct concurrency primitives (the RPL009 contract, a sibling of
-    the RPL001 single-pool rule): everything else — e.g. the result
-    cache's counter persistence — obtains its lock here, so a grep for
+    the RPL001 single-pool rule): everything else — e.g. the metrics
+    registry and the tracer — obtains its lock here, so a grep for
     thread machinery always lands on the sanctioned modules.
     """
     return threading.Lock()

@@ -555,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_sub = cache_parser.add_subparsers(dest="cache_command",
                                             required=True)
     stats_parser = cache_sub.add_parser(
-        "stats", help="entry counts, sizes and hit/miss counters")
+        "stats", help="entry counts and sizes of the store")
     stats_parser.add_argument("--cache", metavar="DIR", default=None,
                               help="store location (default: "
                                    "$REPRO_CACHE_DIR or .repro-cache)")

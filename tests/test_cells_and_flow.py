@@ -1,6 +1,7 @@
 """Tests for the standard-cell library, Liberty export and the design flow."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cells import (
     DEFAULT_GATE_SET,
@@ -19,6 +20,7 @@ from repro.errors import (
     LibraryError,
     MappingError,
     PlacementError,
+    ReproError,
     VerilogParseError,
 )
 from repro.flow import (
@@ -332,6 +334,36 @@ class TestVerilogDiagnostics:
         assert netlist.gates[0].cell_type == "XOR9"
         with pytest.raises(VerilogParseError):
             parse_structural_verilog(text, known_cells=("NAND2",))
+
+
+    #: Fragments a mutation splices in: Verilog tokens and punctuation,
+    #: so edits land on the parser's decisions rather than only on names.
+    _FRAGMENTS = st.sampled_from([
+        "module", "endmodule", "input", "output", "wire", "assign",
+        "NAND2", "NAND2_4X", "INV", "XOR9", "g1", "a", "out", ".out(",
+        ".a(", "(", ")", ";", ",", ".", "//", "/*", "*/", "\n", " ", "",
+        "\\esc ", "1'b0", "[3:0]", "\x00", "\u00e9",
+    ])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_full_adder_raises_only_typed_errors(self, data):
+        """Splicing deletions and token insertions into the built-in full
+        adder either still parses or fails with a ReproError, never with
+        another exception."""
+        text = full_adder_verilog()
+        for _ in range(data.draw(st.integers(1, 4))):
+            start = data.draw(st.integers(0, len(text)))
+            stop = data.draw(st.integers(start, min(len(text), start + 40)))
+            insert = "".join(data.draw(
+                st.lists(self._FRAGMENTS | st.text(max_size=3),
+                         max_size=4)))
+            text = text[:start] + insert + text[stop:]
+        try:
+            netlist = parse_structural_verilog(text)
+        except ReproError:
+            return
+        assert isinstance(netlist, GateNetlist)
 
 
 class TestMappingAndPlacement:

@@ -14,6 +14,7 @@ import pytest
 import repro.cells.characterize as characterize
 import repro.immunity.montecarlo as montecarlo
 from repro.errors import CacheError
+from repro.obs import registry, reset_registry
 from repro.runtime import (
     ResultCache,
     corner_fingerprint,
@@ -363,9 +364,14 @@ class TestDeltaRecompute:
 # Corner-store integrity
 # ---------------------------------------------------------------------------
 
+def _counter(name):
+    """One counter of this process's metrics registry (0 when unset)."""
+    return registry().snapshot()["counters"].get(name, 0)
+
+
 class TestCornerIntegrity:
     def _poison_one_corner(self, store):
-        paths = list(store._corner_entries())
+        paths = sorted((store.root / "corners").rglob("*.json"))
         assert paths
         path = paths[0]
         wrapper = json.loads(path.read_text())
@@ -382,12 +388,12 @@ class TestCornerIntegrity:
         store.prune(study="sweep")                 # force the corner path
         poisoned = self._poison_one_corner(store)
 
+        reset_registry()
         again = run_sweep_study(spec, engine="immunity", trials=20, seed=7,
                                 cache=store)
         assert again == cold                       # recomputed, not served
         assert again.provenance.cache == "partial:1/2"
-        stats = store.stats()
-        assert stats.corner_corrupt >= 1
+        assert _counter("cache.corner_corrupt") == 1
         assert poisoned.exists()                   # rewritten by the rerun
 
     def test_truncated_corner_counts_as_corrupt(self, tmp_path):
@@ -395,26 +401,31 @@ class TestCornerIntegrity:
         spec = SweepSpec.from_mapping({"cnts_per_trial": (2,)})
         run_sweep_study(spec, engine="immunity", trials=10, seed=7,
                         cache=store)
-        path = next(iter(store._corner_entries()))
+        path = next((store.root / "corners").rglob("*.json"))
         path.write_text(path.read_text()[:20])
-        assert store.get_corner(path.stem) is None
+        reset_registry()
+        assert store.get_corners([path.stem]) == {}
         assert not path.exists()                   # evicted
-        assert store.stats().corner_corrupt == 1
+        assert _counter("cache.corner_corrupt") == 1
+        assert _counter("cache.corner_misses") == 1
+        assert store.stats().corner_entries == 0
 
     def test_stats_surface_corner_counters(self, tmp_path):
         store = ResultCache(tmp_path / "store")
         spec = SweepSpec.from_mapping({"cnts_per_trial": (2, 4)})
+        reset_registry()
         run_sweep_study(spec, engine="immunity", trials=10, seed=7,
                         cache=store)
+        assert _counter("cache.corner_misses") == 2
+        assert _counter("cache.corner_puts") == 2
         stats = store.stats()
         assert stats.corner_entries == 2
-        assert stats.corner_misses == 2
         assert stats.corner_bytes > 0
         rendered = str(stats)
         assert "corner entries : 2" in rendered
-        as_dict = stats.as_dict()
-        assert {"corner_entries", "corner_bytes", "corner_hits",
-                "corner_misses", "corner_corrupt"} <= set(as_dict)
+        assert set(stats.as_dict()) == {
+            "root", "entries", "total_bytes", "by_study",
+            "corner_entries", "corner_bytes"}
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +479,7 @@ class TestBoundedPrune:
         self._fill(store, n=2)
         newest = max(
             ((json.loads(p.read_text())["created"], p)
-             for p in store._entries()),
+             for p in (store.root / "objects").rglob("*.json")),
         )[1]
         store.prune(max_entries=1)
         assert newest.exists()

@@ -10,6 +10,7 @@ import pytest
 
 from repro.analysis.experiments import run_fig3_nand3
 from repro.errors import StudyError
+from repro.obs import registry, reset_registry
 from repro.study import StudyResult, decode
 from repro.study.cli import _parse_assignment, main
 from repro.study.results import RESULT_SCHEMA
@@ -197,16 +198,22 @@ class TestRuntimeFlags:
         assert json.loads(out)["provenance"]["cache"] is None
 
     def test_cache_stats_reports_the_hit(self, tmp_path):
+        """The hit and miss are counted in the process metrics registry;
+        ``cache stats`` reports what the store holds."""
         store = str(tmp_path / "store")
+        reset_registry()
         run_cli("run", "fig3", "--json", "-", "--cache", store)
         run_cli("run", "fig3", "--json", "-", "--cache", store)
+        counters = registry().snapshot()["counters"]
+        assert (counters["cache.hits"], counters["cache.misses"]) == (1, 1)
         code, out, _ = run_cli("cache", "stats", "--cache", store)
         assert code == 0
-        assert "hits         : 1" in out
-        assert "misses       : 1" in out
+        assert "entries      : 1" in out
+        assert "  fig3        : 1" in out
+        assert "hits" not in out and "misses" not in out
         code, out, _ = run_cli("cache", "stats", "--cache", store, "--json")
         stats = json.loads(out)
-        assert stats["entries"] == 1 and stats["hits"] == 1
+        assert stats["entries"] == 1 and stats["by_study"] == {"fig3": 1}
 
     def test_cache_prune(self, tmp_path):
         store = str(tmp_path / "store")
@@ -237,18 +244,20 @@ class TestRuntimeFlags:
 
     def test_cache_stats_reports_corner_counters(self, tmp_path):
         store = str(tmp_path / "store")
+        reset_registry()
         run_cli("sweep", "--engine", "immunity",
                 "--axis", "cnts_per_trial=2,4",
                 "--trials", "15", "--seed", "7", "--json", "-",
                 "--cache", store)
+        assert registry().snapshot()["counters"]["cache.corner_misses"] == 2
         code, out, _ = run_cli("cache", "stats", "--cache", store)
         assert code == 0
         assert "corner entries : 2" in out
-        assert "corner misses  : 2" in out
+        assert "corner bytes   : " in out
         code, out, _ = run_cli("cache", "stats", "--cache", store, "--json")
         stats = json.loads(out)
         assert stats["corner_entries"] == 2
-        assert stats["corner_misses"] == 2
+        assert stats["corner_bytes"] > 0
 
     def test_cache_prune_bounds(self, tmp_path):
         store = str(tmp_path / "store")

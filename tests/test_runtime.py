@@ -9,6 +9,7 @@ import pytest
 
 import repro.analysis.experiments as experiments
 from repro.errors import CacheError, RuntimeLayerError, StudyError
+from repro.obs import registry, reset_registry
 from repro.runtime import (
     ManifestResult,
     ResultCache,
@@ -93,6 +94,40 @@ class TestScheduler:
         tasks = list(range(13))
         assert run_tasks(_square, tasks, jobs=3, backend=backend) == \
             [x * x for x in tasks]
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_pool_is_capped_by_tasks_and_cores(self, backend, monkeypatch):
+        """A body asking for a million jobs over 3000 tasks gets a pool no
+        wider than the host's cores.  The executors are fakes that record
+        ``max_workers`` and run inline, so no process or thread starts."""
+        import repro.runtime.scheduler as scheduler
+
+        widths = []
+
+        class FakeExecutor:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(scheduler, "ProcessPoolExecutor", FakeExecutor)
+        monkeypatch.setattr(scheduler, "ThreadPoolExecutor", FakeExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        tasks = list(range(3000))
+        assert run_tasks(_square, tasks, jobs=10 ** 6, backend=backend) == \
+            [x * x for x in tasks]
+        assert run_tasks(_square, tasks[:3], jobs=8, backend=backend) == \
+            [0, 1, 4]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        run_tasks(_square, tasks[:3], jobs=8, backend=backend)
+        assert widths == [4, 3, 1]
 
     def test_shard_indices_partition(self):
         for n in (0, 1, 2, 5, 16, 17):
@@ -216,58 +251,125 @@ class TestMonteCarloSweepRouting:
 # Cache
 # ---------------------------------------------------------------------------
 
+def _cache_counters():
+    """The ``cache.*`` counters of this process's metrics registry."""
+    counters = registry().snapshot()["counters"]
+    return {name: value for name, value in counters.items()
+            if name.startswith("cache.")}
+
+
+def _share_one_store(root, name, n):
+    """One of two processes sharing a store: put and read back ``n`` own
+    corners and one own study entry, and check this process's counters."""
+    from repro.study.results import Fig3Result, Provenance
+
+    reset_registry()
+    store = ResultCache(root)
+    keys = [f"{name}{index:03x}" for index in range(n)]
+    for key in keys:
+        store.put_corner(key, {"owner": name, "key": key}, engine="immunity")
+    found = store.get_corners(keys)
+    assert found == {key: {"owner": name, "key": key} for key in keys}
+    result = Fig3Result(provenance=Provenance.capture("fig3"),
+                        baseline_area=288.0)
+    assert store.get(name * 64) is None
+    store.put(name * 64, result)
+    assert store.get(name * 64) == result
+    assert _cache_counters() == {
+        "cache.corner_puts": n, "cache.corner_hits": n, "cache.puts": 1,
+        "cache.hits": 1, "cache.misses": 1}
+
+
 class TestResultCache:
     def test_roundtrip_and_counters(self, tmp_path):
         cache = ResultCache(tmp_path / "store")
         result = experiments.run_fig3_nand3()
         key = study_fingerprint("fig3")
+        reset_registry()
         assert cache.get(key) is None
         cache.put(key, result)
         restored = cache.get(key)
         assert restored == result
         assert restored.to_dict() == result.to_dict()
+        assert _cache_counters() == {
+            "cache.hits": 1, "cache.misses": 1, "cache.puts": 1}
         stats = cache.stats()
-        assert (stats.entries, stats.hits, stats.misses) == (1, 1, 1)
+        assert stats.entries == 1
         assert stats.by_study == {"fig3": 1}
         assert stats.total_bytes > 0
 
-    def test_counters_persist_across_instances(self, tmp_path):
-        root = tmp_path / "store"
-        key = study_fingerprint("fig3")
-        ResultCache(root).put(key, experiments.run_fig3_nand3())
-        ResultCache(root).get(key)
-        assert ResultCache(root).stats().hits == 1
-
-    def test_counter_persistence_is_thread_safe(self, tmp_path):
-        """Counter updates are read-modify-write on stats.json; hammering
-        misses from many threads (and across instances sharing the store)
-        must lose no increments — the regression for the unlocked _bump."""
-        import threading
+    def test_two_processes_share_one_store(self, tmp_path):
+        """Two processes writing and reading their own entries on one
+        store: the scan sees the union, and the store keeps no counter
+        file for them to race on."""
+        import multiprocessing
 
         root = tmp_path / "store"
-        threads, per_thread = 8, 25
-        missing = study_fingerprint("fig3", params={"unit_width": -1.0})
-
-        def hammer():
-            cache = ResultCache(root)        # per-thread instance, one store
-            for _ in range(per_thread):
-                assert cache.get(missing) is None
-
-        workers = [threading.Thread(target=hammer) for _ in range(threads)]
+        context = multiprocessing.get_context("spawn")
+        workers = [
+            context.Process(target=_share_one_store, args=(root, name, 40))
+            for name in ("a", "b")
+        ]
         for worker in workers:
             worker.start()
         for worker in workers:
-            worker.join()
-        assert ResultCache(root).stats().misses == threads * per_thread
+            worker.join(timeout=120)
+        assert not any(worker.is_alive() for worker in workers)
+        assert [worker.exitcode for worker in workers] == [0, 0]
+        stats = ResultCache(root).stats()
+        assert (stats.entries, stats.corner_entries) == (2, 80)
+        assert stats.by_study == {"fig3": 2}
+        assert list(root.rglob("stats.json")) == []
+
+    def test_entry_wrappers_on_the_wire(self, tmp_path):
+        """The two wrapper shapes are the store's compatibility surface:
+        same keys and schema tags, so existing stores keep hitting."""
+        from repro.runtime.cache import _envelope_digest
+        from repro.study.serialize import encode
+
+        cache = ResultCache(tmp_path / "store")
+        result = experiments.run_fig3_nand3()
+        study = json.loads(cache.put("ab" * 32, result).read_text())
+        assert set(study) == {"schema", "fingerprint", "study", "sha256",
+                              "created", "result"}
+        assert study["schema"] == "repro-cache-entry/v1"
+        assert (study["fingerprint"], study["study"]) == ("ab" * 32, "fig3")
+        assert study["result"] == result.to_json_dict()
+        assert study["sha256"] == _envelope_digest(study["result"])
+
+        metrics = {"failure_rate": 0.25, "trials": 8}
+        corner = json.loads(
+            cache.put_corner("cd" * 32, metrics, engine="immunity")
+            .read_text())
+        assert set(corner) == {"schema", "fingerprint", "study", "engine",
+                               "sha256", "created", "payload"}
+        assert corner["schema"] == "repro-corner-entry/v1"
+        assert (corner["fingerprint"], corner["study"], corner["engine"]) \
+            == ("cd" * 32, "corner", "immunity")
+        assert corner["payload"] == encode(metrics)
+        assert corner["sha256"] == _envelope_digest(corner["payload"])
+
+        # A wrapper written by hand in that shape is a hit.
+        payload = encode({"failure_rate": 0.5})
+        path = cache.put_corner("ef" * 32, {})
+        path.write_text(json.dumps({
+            "schema": "repro-corner-entry/v1", "fingerprint": "ef" * 32,
+            "study": "corner", "engine": "", "created": 0.0,
+            "sha256": _envelope_digest(payload), "payload": payload,
+        }, sort_keys=True))
+        assert cache.get_corners(["ef" * 32]) == {
+            "ef" * 32: {"failure_rate": 0.5}}
 
     def test_corrupt_entry_is_evicted_not_served(self, tmp_path):
         cache = ResultCache(tmp_path / "store")
         key = study_fingerprint("fig3")
         path = cache.put(key, experiments.run_fig3_nand3())
         path.write_text(path.read_text().replace("compact", "c0rrupt"))
+        reset_registry()
         assert cache.get(key) is None          # digest mismatch -> miss
         assert not path.exists()               # and the entry is evicted
-        assert cache.stats().corrupt == 1
+        assert _cache_counters() == {
+            "cache.misses": 1, "cache.corrupt": 1, "cache.evictions": 1}
 
     def test_digest_valid_but_undecodable_entry_is_evicted(self, tmp_path):
         """A stale entry whose digest still matches (e.g. a result class
@@ -282,9 +384,10 @@ class TestResultCache:
         wrapper["result"]["payload"] = "not-a-mapping"
         wrapper["sha256"] = _envelope_digest(wrapper["result"])
         path.write_text(json.dumps(wrapper))
+        reset_registry()
         assert cache.get(key) is None
         assert not path.exists()
-        assert cache.stats().corrupt == 1
+        assert _cache_counters()["cache.corrupt"] == 1
 
     def test_truncated_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "store")

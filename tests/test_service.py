@@ -34,6 +34,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.analysis.experiments as experiments
+from repro.errors import ReproError
 from repro.runtime.manifest import _entry_key, ManifestEntry
 from repro.service import (
     InvalidSubmission,
@@ -561,6 +562,99 @@ class TestFingerprintProperties:
         backward = _fingerprint({"studies": [two, one]})
         assert forward != backward
         assert forward == _fingerprint({"studies": [one, two], "jobs": 8})
+
+
+# ---------------------------------------------------------------------------
+# Arbitrary bodies: typed errors only
+# ---------------------------------------------------------------------------
+
+#: Keys a body draws from: the ones the validator dispatches on, plus
+#: noise.
+_BODY_KEYS = st.sampled_from([
+    "study", "studies", "engine", "axes", "mode", "params", "jobs",
+    "backend", "seed", "trials", "cnts_per_trial", "technique", "vdd",
+    "unit_width", "draws",
+]) | st.text(max_size=6)
+
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(-3, 64)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8)
+    | st.sampled_from(["fig3", "fig2", "sweep", "immunity", "transient",
+                       "grid", "zip", "serial", "thread", "compact",
+                       "vulnerable"])
+)
+
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(_BODY_KEYS, children, max_size=5)),
+    max_leaves=20,
+)
+
+
+#: Valid bodies of each kind, which :func:`_bodies` then damages.
+_VALID_BODIES = (
+    {"study": "fig3", "params": {"unit_width": 6}},
+    {"study": "sweep", "engine": "immunity", "mode": "grid",
+     "axes": {"cnts_per_trial": [2, 4], "technique": ["compact"]},
+     "params": {"trials": 10, "seed": 7}},
+    {"studies": [{"study": "fig2", "params": {"trials": 5}},
+                 {"study": "sweep", "engine": "transient",
+                  "axes": {"vdd": [0.9, 1.0]}}],
+     "jobs": 2},
+)
+
+
+def _mappings(value):
+    """Every JSON object inside ``value``, ``value`` itself first."""
+    found = []
+    if isinstance(value, dict):
+        found.append(value)
+        children = value.values()
+    elif isinstance(value, list):
+        children = value
+    else:
+        return found
+    for child in children:
+        found.extend(_mappings(child))
+    return found
+
+
+@st.composite
+def _bodies(draw):
+    """A valid body with up to four keys set, replaced or deleted, at
+    any depth — near misses reach the code past the first check."""
+    body = json.loads(json.dumps(draw(st.sampled_from(_VALID_BODIES))))
+    for _ in range(draw(st.integers(0, 4))):
+        target = draw(st.sampled_from(_mappings(body)))
+        key = draw(st.sampled_from(sorted(target)) | _BODY_KEYS
+                   if target else _BODY_KEYS)
+        if key in target and draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = draw(_JSON_VALUES)
+    return body
+
+
+class TestSubmissionFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(body=_bodies()
+           | st.dictionaries(_BODY_KEYS, _JSON_VALUES, max_size=6)
+           | _JSON_VALUES)
+    def test_arbitrary_bodies_raise_only_typed_errors(self, body):
+        """Any JSON body either becomes a submission whose fingerprint,
+        corner count and description compute, or fails with a
+        ReproError (HTTP 4xx) — never another exception (HTTP 500)."""
+        try:
+            submission = JobSubmission.from_document(body)
+            fingerprint = submission.fingerprint()
+            corners = submission.total_corners()
+            description = submission.describe()
+        except ReproError:
+            return
+        assert len(fingerprint) == 64
+        assert corners is None or corners >= 0
+        assert description["kind"] == submission.kind
 
 
 # ---------------------------------------------------------------------------
