@@ -143,7 +143,8 @@ def _envelope_digest(envelope: Dict[str, Any]) -> str:
     ).hexdigest()
 
 
-def with_cache_status(result: StudyResult, status: str) -> StudyResult:
+def with_cache_status(result: StudyResult,
+                      status: Optional[str]) -> StudyResult:
     """A copy of ``result`` whose provenance records ``status`` ("hit" or
     "miss").  The ``cache`` provenance field is excluded from equality,
     so a warm-cache copy still compares equal to the cold-run original —
@@ -446,6 +447,38 @@ def as_cache(cache: CacheLike) -> Optional[ResultCache]:
     )
 
 
+def cached_study(span: str, cache: CacheLike, fresh: bool,
+                 key: Callable[[], str],
+                 compute: Callable[[Optional[ResultCache]], StudyResult],
+                 **attributes: Any) -> StudyResult:
+    """The whole-result cache step of :func:`~repro.study.registry.
+    run_study` and :func:`~repro.study.sweeps.run_sweep_study`.
+
+    A ``fresh`` run (``seed=None``: fresh OS entropy) bypasses the store,
+    which would otherwise serve a stale random draw as a "hit".  A warm
+    ``key()`` returns ``"hit"``; on a miss ``compute(store)`` runs, its
+    result is stored and returned as ``"miss"`` unless ``compute`` set a
+    finer status (``"partial:<h>/<n>"`` from corner reuse).
+    """
+    store = as_cache(cache)
+    if fresh:
+        store = None
+    with obs_trace.span(span, **attributes, cached=store is not None):
+        if store is None:
+            return compute(None)
+        fingerprint = key()
+        obs_trace.annotate(fingerprint=fingerprint)
+        cached = store.get(fingerprint)
+        if cached is not None:
+            obs_trace.annotate(cache="hit")
+            return with_cache_status(cached, "hit")
+        result = compute(store)
+        status = result.provenance.cache or "miss"
+        store.put(fingerprint, with_cache_status(result, None))
+        obs_trace.annotate(cache=status)
+        return with_cache_status(result, status)
+
+
 __all__ = [
     "CACHE_SCHEMA",
     "CORNER_SCHEMA",
@@ -455,5 +488,6 @@ __all__ = [
     "ENV_CACHE_DIR",
     "ResultCache",
     "as_cache",
+    "cached_study",
     "with_cache_status",
 ]

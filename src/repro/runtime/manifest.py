@@ -10,12 +10,11 @@ A *manifest* is a JSON list of study invocations::
        "params": {"trials": 100, "seed": 7}}
     ]
 
-(the top level may also be ``{"studies": [...]}``).  Plain entries run
-through :func:`~repro.study.registry.run_study`; ``"study": "sweep"``
-entries build a :class:`~repro.study.spec.SweepSpec` from ``axes`` /
-``mode`` and run through :func:`~repro.study.sweeps.run_sweep_study`
-(``engine``, plus ``trials`` / ``seed`` / fixed values inside
-``params``).
+(the top level may also be ``{"studies": [...]}``).  Every entry is
+parsed by :meth:`ManifestEntry.from_mapping`, the validator all entry
+surfaces share, before the first one runs.  Plain entries run through
+:func:`~repro.study.registry.run_study`, ``"study": "sweep"`` entries
+through :func:`~repro.study.sweeps.run_sweep_study`.
 
 :func:`run_manifest` executes the list in order and deduplicates work
 across entries by :mod:`~repro.runtime.fingerprint`: a repeated
@@ -39,40 +38,44 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..errors import RuntimeLayerError
-from ..study.registry import get_study
+from ..errors import RuntimeLayerError, StudyError
+from ..study.registry import get_study, run_study
 from ..study.results import Provenance, StudyResult
 from ..study.spec import SweepSpec
+from ..study.sweeps import (SWEEP_SEED, SWEEP_TRIALS, run_sweep_study,
+                            sweep_engine)
 from .cache import CacheLike, as_cache
 from .fingerprint import study_fingerprint, sweep_fingerprint
 
-ManifestSource = Union[str, os.PathLike, Sequence[Mapping[str, Any]],
-                       Mapping[str, Any]]
+ManifestSource = Union[str, os.PathLike, Sequence[Any], Mapping[str, Any]]
 
 
 @dataclass(frozen=True)
 class ManifestEntry:
-    """One parsed manifest line: a study (or sweep) invocation."""
+    """One validated study or sweep invocation: what ``repro sweep``,
+    ``repro circuit``, each ``repro batch`` line and every ``POST /jobs``
+    body parse into.  ``study`` is the canonical study name or
+    ``"sweep"``; a sweep's ``params`` are its engine's fixed values."""
 
     study: str
     params: Dict[str, Any] = field(default_factory=dict)
     engine: Optional[str] = None                 # sweep entries only
-    axes: Optional[Dict[str, Tuple[object, ...]]] = None
-    mode: str = "grid"
+    spec: Optional[SweepSpec] = None
+    trials: int = SWEEP_TRIALS
+    seed: Any = SWEEP_SEED
 
     @property
     def is_sweep(self) -> bool:
         return self.study == "sweep"
 
-    def spec(self) -> SweepSpec:
-        if not self.axes:
-            raise RuntimeLayerError(
-                "A sweep manifest entry needs a non-empty 'axes' mapping"
-            )
-        return SweepSpec.from_mapping(self.axes, mode=self.mode)
-
     @classmethod
-    def from_mapping(cls, data: Mapping[str, Any], index: int) -> "ManifestEntry":
+    def from_mapping(cls, data: Mapping[str, Any],
+                     index: int = 0) -> "ManifestEntry":
+        """The one invocation validator.  A malformed shape is a
+        :class:`~repro.errors.RuntimeLayerError`; an unknown study,
+        engine, axis or parameter, or a ``seed``/``trials`` for an
+        unseeded engine, the :class:`~repro.errors.StudyError` running
+        it would raise — before anything runs."""
         if not isinstance(data, Mapping):
             raise RuntimeLayerError(
                 f"Manifest entry {index} must be an object, "
@@ -95,27 +98,71 @@ class ManifestEntry:
             raise RuntimeLayerError(
                 f"Manifest entry {index}: 'params' must be an object"
             )
+        params = dict(params)
         axes = data.get("axes")
-        if axes is not None:
-            if not isinstance(axes, Mapping):
+        if study != "sweep":
+            if axes is not None or "engine" in data:
                 raise RuntimeLayerError(
-                    f"Manifest entry {index}: 'axes' must be an object"
+                    f"Manifest entry {index}: 'axes'/'engine' only apply "
+                    f"to \"study\": \"sweep\" entries"
                 )
-            axes = {name: tuple(values if isinstance(values, (list, tuple))
-                                else (values,))
-                    for name, values in axes.items()}
-        if study != "sweep" and (axes is not None or "engine" in data):
+            definition = get_study(study)
+            definition.check_params(params)
+            return cls(study=definition.name, params=params)
+        if not axes or not isinstance(axes, Mapping):
             raise RuntimeLayerError(
-                f"Manifest entry {index}: 'axes'/'engine' only apply to "
-                f"\"study\": \"sweep\" entries"
+                f"Manifest entry {index}: a sweep needs a non-empty 'axes' "
+                "object"
             )
-        return cls(
-            study=study,
-            params=dict(params),
-            engine=data.get("engine"),
-            axes=axes,
+        spec = SweepSpec.from_mapping(
+            {name: values if isinstance(values, (list, tuple)) else (values,)
+             for name, values in axes.items()},
             mode=data.get("mode", "grid"),
         )
+        engine = data.get("engine") or "immunity"
+        seeded = {name: params.pop(name) for name in ("trials", "seed")
+                  if name in params}
+        if seeded and sweep_engine(engine).seeds is None:
+            raise StudyError(
+                f"Engine {engine!r} takes no --seed/--trials (no "
+                f"{sorted(seeded)} params): it is unseeded and deterministic"
+            )
+        sweep_engine(engine, spec.axis_names, params)
+        return cls(study="sweep", params=params, engine=engine, spec=spec,
+                   **seeded)
+
+    def key(self) -> str:
+        """The content address the cache files this invocation under."""
+        if self.is_sweep:
+            return sweep_fingerprint(self.spec, self.engine, self.trials,
+                                     self.seed, self.params)
+        return study_fingerprint(self.study, params=self.params)
+
+    @property
+    def deterministic(self) -> bool:
+        """False for an explicit ``"seed": null`` (fresh OS entropy): such
+        a run neither dedups nor caches."""
+        if self.is_sweep:
+            return self.seed is not None
+        return self.params.get("seed", 0) is not None
+
+    def run(self, cache=None, jobs: Optional[int] = None,
+            backend: Optional[str] = None) -> StudyResult:
+        """Execute the invocation; a study's runner gets ``jobs`` and
+        ``backend`` only if it declares ``workers``/``backend``."""
+        if self.is_sweep:
+            return run_sweep_study(
+                self.spec, engine=self.engine, trials=self.trials,
+                seed=self.seed, jobs=jobs, backend=backend, cache=cache,
+                **self.params,
+            )
+        params = dict(self.params)
+        accepted = get_study(self.study).parameters()
+        if backend is not None and "backend" in accepted:
+            params.setdefault("backend", backend)
+        return run_study(self.study, cache=cache,
+                         jobs=jobs if "workers" in accepted else None,
+                         **params)
 
 
 @dataclass(frozen=True)
@@ -209,60 +256,9 @@ def _load_entries(source: ManifestSource) -> List[ManifestEntry]:
         )
     if not document:
         raise RuntimeLayerError("Manifest has no entries")
-    return [ManifestEntry.from_mapping(entry, index)
+    return [entry if isinstance(entry, ManifestEntry)
+            else ManifestEntry.from_mapping(entry, index)
             for index, entry in enumerate(document)]
-
-
-def _sweep_call(entry: ManifestEntry):
-    """``(spec, engine, trials, seed, fixed)`` for one sweep entry, with
-    the trials/seed defaults read off ``run_sweep_study``'s own signature
-    so the manifest can never drift from the driver."""
-    import inspect
-
-    from ..study.sweeps import run_sweep_study
-
-    signature = inspect.signature(run_sweep_study).parameters
-    params = dict(entry.params)
-    trials = params.pop("trials", signature["trials"].default)
-    seed = params.pop("seed", signature["seed"].default)
-    return entry.spec(), entry.engine or "immunity", trials, seed, params
-
-
-def _entry_key(entry: ManifestEntry) -> Tuple[str, str]:
-    """``(canonical study name, fingerprint)`` — the exact key the cached
-    execution path will use, computed once per entry."""
-    if entry.is_sweep:
-        spec, engine, trials, seed, fixed = _sweep_call(entry)
-        return "sweep", sweep_fingerprint(spec, engine, trials, seed, fixed)
-    name = get_study(entry.study).name
-    return name, study_fingerprint(name, params=entry.params)
-
-
-def _requests_fresh_entropy(entry: ManifestEntry) -> bool:
-    """An explicit ``"seed": null`` asks for fresh OS entropy — such an
-    entry must neither dedup nor cache (mirrors the driver-level
-    bypass)."""
-    return "seed" in entry.params and entry.params["seed"] is None
-
-
-def _run_entry(entry: ManifestEntry, cache, jobs: Optional[int],
-               backend: Optional[str]) -> StudyResult:
-    """Execute one (non-deduplicated) entry."""
-    from ..study.registry import run_study
-    from ..study.sweeps import run_sweep_study
-
-    if entry.is_sweep:
-        spec, engine, trials, seed, fixed = _sweep_call(entry)
-        return run_sweep_study(
-            spec, engine=engine, trials=trials, seed=seed,
-            jobs=jobs, backend=backend, cache=cache, **fixed,
-        )
-    definition = get_study(entry.study)
-    # Forward the manifest-level jobs only to runners that can use it;
-    # serial studies just run serially instead of erroring the batch.
-    entry_jobs = jobs if "workers" in definition.parameters() else None
-    return run_study(definition.name, cache=cache, jobs=entry_jobs,
-                     **entry.params)
 
 
 def run_manifest(source: ManifestSource, cache: CacheLike = None,
@@ -271,7 +267,9 @@ def run_manifest(source: ManifestSource, cache: CacheLike = None,
     """Execute a manifest of studies with cross-study dedup.
 
     ``source`` is a path to a manifest JSON file, or the already-loaded
-    list / ``{"studies": [...]}`` mapping.  Entries run in order; an
+    list / ``{"studies": [...]}`` mapping; list items may be parsed
+    :class:`ManifestEntry` objects.  Every entry is validated before the
+    first one runs.  Entries run in order; an
     entry whose fingerprint matched an earlier one reuses that result
     without re-running anything (``dedup``), and with ``cache`` attached
     each unique invocation is a ``miss`` (computed, stored) or ``hit``
@@ -283,18 +281,17 @@ def run_manifest(source: ManifestSource, cache: CacheLike = None,
     outcomes: List[ManifestOutcome] = []
     results: List[StudyResult] = []
     for index, entry in enumerate(entries):
-        study, key = _entry_key(entry)
-        deterministic = not _requests_fresh_entropy(entry)
-        if deterministic and key in memo:
+        key = entry.key()
+        if entry.deterministic and key in memo:
             result = memo[key]
             status = "dedup"
         else:
-            result = _run_entry(entry, store, jobs, backend)
-            if deterministic:
+            result = entry.run(store, jobs, backend)
+            if entry.deterministic:
                 memo[key] = result
             status = result.provenance.cache or "computed"
         outcomes.append(ManifestOutcome(
-            index=index, study=study, fingerprint=key, status=status,
+            index=index, study=entry.study, fingerprint=key, status=status,
         ))
         results.append(result)
     return ManifestResult(

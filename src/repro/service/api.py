@@ -10,9 +10,10 @@ invocation shapes the CLI and manifest runner already understand:
 * a **manifest** — ``{"studies": [entry, entry, ...]}`` (each entry a
   study/sweep object as above)
 
-Parsing reuses :class:`~repro.runtime.manifest.ManifestEntry`, so the
-service accepts exactly what ``repro batch`` accepts and rejects exactly
-what it rejects — one validation surface, not two.
+Each study/sweep object is parsed by
+:meth:`~repro.runtime.manifest.ManifestEntry.from_mapping`, the one
+validator of ``repro batch``/``sweep``/``circuit`` too, so whatever they
+reject is an HTTP 400 at submit time, before a worker runs anything.
 
 **Fingerprints are execution-blind at the API boundary too.**  The body
 may carry top-level ``jobs``/``backend`` overrides (how the engines
@@ -27,18 +28,12 @@ collapse onto one job — the RPL004 contract, extended to HTTP.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..errors import ReproError
-from ..runtime.manifest import (
-    ManifestEntry,
-    _entry_key,
-    _requests_fresh_entropy,
-    _run_entry,
-)
+from ..runtime.manifest import ManifestEntry, run_manifest
 from ..runtime.scheduler import BACKENDS
-from ..study.registry import get_study
 from ..study.results import StudyResult
 from ..study.serialize import canonical_json
 from .errors import InvalidSubmission
@@ -62,42 +57,18 @@ def _validate_execution(jobs: Any, backend: Any) -> Tuple[Optional[int],
     return jobs, backend
 
 
-def _parse_entry(document: Mapping[str, Any], index: int) -> ManifestEntry:
-    """One study/sweep entry through the manifest validator, with
-    submission-grade error wrapping and eager study-name resolution."""
-    try:
-        entry = ManifestEntry.from_mapping(document, index)
-        if entry.is_sweep:
-            if entry.engine not in (None, "immunity", "transient"):
-                raise InvalidSubmission(
-                    f"Unknown sweep engine {entry.engine!r}; "
-                    "use 'immunity' or 'transient'"
-                )
-            entry.spec()                 # validates the axes mapping
-        else:
-            get_study(entry.study)       # unknown studies fail at submit
-    except InvalidSubmission:
-        raise
-    except ReproError as error:
-        raise InvalidSubmission(str(error)) from error
-    return entry
-
-
 @dataclass(frozen=True)
 class JobSubmission:
     """One validated unit of service work, ready to fingerprint and run.
 
     ``entries`` holds the parsed invocation(s) — exactly one for study
-    and sweep submissions, one per manifest line otherwise; ``documents``
-    keeps the normalised raw entry mappings so manifest runs replay
-    through :func:`~repro.runtime.manifest.run_manifest` unchanged.
+    and sweep submissions, one per manifest line otherwise.
     ``jobs``/``backend`` are the body's optional execution overrides —
     applied when the job runs, invisible to :meth:`fingerprint`.
     """
 
     kind: str
     entries: Tuple[ManifestEntry, ...]
-    documents: Tuple[Dict[str, Any], ...] = field(default=())
     jobs: Optional[int] = None
     backend: Optional[str] = None
 
@@ -119,37 +90,29 @@ class JobSubmission:
         jobs, backend = _validate_execution(
             body.pop("jobs", None), body.pop("backend", None)
         )
-        if "studies" in body:
-            raw_entries = body.pop("studies")
+        manifest = "studies" in body
+        if manifest:
+            documents = body.pop("studies")
             if body:
                 raise InvalidSubmission(
                     f"Manifest submissions take only 'studies' (plus "
                     f"'jobs'/'backend'); unknown keys {sorted(body)}"
                 )
-            if not isinstance(raw_entries, (list, tuple)) or not raw_entries:
+            if not isinstance(documents, (list, tuple)) or not documents:
                 raise InvalidSubmission(
                     "'studies' must be a non-empty list of study/sweep "
                     "entries"
                 )
-            entries = tuple(
-                _parse_entry(entry, index)
-                for index, entry in enumerate(raw_entries)
-            )
-            return cls(
-                kind="manifest",
-                entries=entries,
-                documents=tuple(dict(entry) for entry in raw_entries),
-                jobs=jobs,
-                backend=backend,
-            )
-        entry = _parse_entry(body, 0)
-        return cls(
-            kind="sweep" if entry.is_sweep else "study",
-            entries=(entry,),
-            documents=(dict(body),),
-            jobs=jobs,
-            backend=backend,
-        )
+        else:
+            documents = [body]
+        try:
+            entries = tuple(ManifestEntry.from_mapping(entry, index)
+                            for index, entry in enumerate(documents))
+        except ReproError as error:
+            raise InvalidSubmission(str(error)) from error
+        kind = ("manifest" if manifest
+                else "sweep" if entries[0].is_sweep else "study")
+        return cls(kind=kind, entries=entries, jobs=jobs, backend=backend)
 
     # -- identity --------------------------------------------------------------
 
@@ -162,7 +125,7 @@ class JobSubmission:
         submissions hash the ordered list of their entries' fingerprints.
         Execution overrides (``jobs``/``backend``) never participate.
         """
-        keys = [_entry_key(entry)[1] for entry in self.entries]
+        keys = [entry.key() for entry in self.entries]
         if self.kind != "manifest":
             return keys[0]
         text = canonical_json({"kind": "manifest", "entries": keys})
@@ -174,8 +137,7 @@ class JobSubmission:
         with an explicit ``"seed": null`` asks for fresh OS entropy, so
         such a submission must neither dedup nor attach — mirroring the
         manifest runner's bypass."""
-        return not any(_requests_fresh_entropy(entry)
-                       for entry in self.entries)
+        return all(entry.deterministic for entry in self.entries)
 
     @property
     def study(self) -> str:
@@ -183,18 +145,14 @@ class JobSubmission:
         ``"manifest"``."""
         if self.kind == "manifest":
             return "manifest"
-        entry = self.entries[0]
-        return "sweep" if entry.is_sweep else get_study(entry.study).name
+        return self.entries[0].study
 
     def total_corners(self) -> Optional[int]:
         """How many sweep corners this submission expands to (the job's
         progress denominator), or ``None`` when corners are not the unit
         of work."""
-        totals = [len(entry.spec().corners())
-                  for entry in self.entries if entry.is_sweep]
-        if not totals:
-            return None
-        return sum(totals)
+        return sum(len(entry.spec)
+                   for entry in self.entries if entry.is_sweep) or None
 
     # -- execution -------------------------------------------------------------
 
@@ -203,17 +161,14 @@ class JobSubmission:
         """Execute the submission through the registry / sweep driver /
         manifest runner.  The body's own ``jobs``/``backend`` win over
         the service defaults passed in."""
-        from ..runtime.manifest import run_manifest
-
         effective_jobs = self.jobs if self.jobs is not None else jobs
         effective_backend = self.backend if self.backend is not None \
             else backend
         if self.kind == "manifest":
-            return run_manifest(list(self.documents), cache=cache,
+            return run_manifest(self.entries, cache=cache,
                                 jobs=effective_jobs,
                                 backend=effective_backend)
-        return _run_entry(self.entries[0], cache, effective_jobs,
-                          effective_backend)
+        return self.entries[0].run(cache, effective_jobs, effective_backend)
 
     def describe(self) -> Dict[str, Any]:
         """The submission's face in job documents."""

@@ -302,10 +302,10 @@ class JobManager:
 
     def _job_store(self, job: Job):
         """The store this job runs against: the manager's cache, wrapped
-        to tick the job's corner progress (sweeps only — the wrapper is
-        inert for plain studies, which never touch the corner API)."""
-        if self._store is None:
-            return None
+        to tick the job's corner progress if it has a corner total
+        (sweeps; ``circuit`` studies read corners but count none)."""
+        if self._store is None or job.progress_total is None:
+            return self._store
 
         def on_corners(count: int) -> None:
             with self._lock:

@@ -51,7 +51,6 @@ metrics snapshot — without changing the result by a single byte;
 from __future__ import annotations
 
 import argparse
-import inspect
 import json as json_module
 import os
 import sys
@@ -62,7 +61,6 @@ from ..errors import ReproError, StudyError
 from .registry import get_study, list_studies, run_study
 from .results import StudyResult
 from .spec import SweepSpec, _parse_scalar
-from .sweeps import run_sweep_study
 
 
 def _parse_assignment(text: str) -> tuple:
@@ -206,7 +204,7 @@ def _cmd_list(args, stdout, stderr) -> int:
 
 def _cmd_run(args, stdout, stderr) -> int:
     definition = get_study(args.study)
-    accepted = set(inspect.signature(definition.runner).parameters)
+    accepted = definition.parameters()
     params = _parse_assignments(args.param, "--param")
     if args.seed is not None:
         if "seed" not in accepted:
@@ -244,29 +242,29 @@ def _cmd_verify(args, stdout, stderr) -> int:
 
 
 def _cmd_sweep(args, stdout, stderr) -> int:
+    from ..runtime.manifest import ManifestEntry
+
     spec = SweepSpec.parse(args.axis, mode=args.mode)
-    kwargs: Dict[str, Any] = _parse_assignments(args.set, "--set")
-    if args.engine in ("immunity", "circuit"):
-        kwargs["trials"] = args.trials if args.trials is not None else 200
-        kwargs["seed"] = args.seed if args.seed is not None else 2009
-    elif args.trials is not None or args.seed is not None:
-        # Mirror `repro run`: rejecting the flags beats silently ignoring
-        # them — the transient engine is deterministic and unseeded.
-        raise StudyError(
-            f"Engine {args.engine!r} takes no --seed/--trials "
-            "(the transient engine is deterministic)"
-        )
+    params: Dict[str, Any] = _parse_assignments(args.set, "--set")
+    if args.trials is not None:
+        params["trials"] = args.trials
+    if args.seed is not None:
+        params["seed"] = args.seed
+    entry = ManifestEntry.from_mapping({
+        "study": "sweep", "engine": args.engine, "mode": spec.mode,
+        "axes": {axis.name: axis.values for axis in spec.axes},
+        "params": params,
+    })
     store = _resolve_cache(args)
     with _traced(args, f"sweep:{args.engine}", stderr):
-        result = run_sweep_study(spec, engine=args.engine, jobs=args.jobs,
-                                 backend=args.backend, cache=store, **kwargs)
+        result = entry.run(store, args.jobs, args.backend)
     _note_cache(result, store, stderr)
     _emit(result, args.json, args.text, stdout)
     return 0
 
 
 def _cmd_circuit(args, stdout, stderr) -> int:
-    from ..circuit_study import run_circuit_study
+    from ..runtime.manifest import ManifestEntry
 
     if args.verilog is None and args.generate is None:
         raise StudyError(
@@ -284,15 +282,15 @@ def _cmd_circuit(args, stdout, stderr) -> int:
     else:
         circuit = args.generate
     params = _parse_assignments(args.param, "--param")
+    params["circuit"] = circuit
     if args.trials is not None:
         params["trials"] = args.trials
     if args.seed is not None:
         params["seed"] = args.seed
+    entry = ManifestEntry.from_mapping({"study": "circuit", "params": params})
     store = _resolve_cache(args)
     with _traced(args, "circuit", stderr):
-        result = run_circuit_study(circuit, workers=args.jobs,
-                                   backend=args.backend, cache=store,
-                                   **params)
+        result = entry.run(store, args.jobs, args.backend)
     _note_cache(result, store, stderr)
     _emit(result, args.json, args.text, stdout)
     return 0

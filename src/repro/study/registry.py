@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from ..errors import StudyError
 from .results import StudyResult
@@ -34,6 +34,20 @@ class StudyDefinition:
                    else parameter.default)
             for name, parameter in signature.parameters.items()
         }
+
+    def check_params(self, names: Iterable[str]) -> Dict[str, object]:
+        """:meth:`parameters`; a :class:`StudyError` for any of ``names``
+        the runner does not take (``cache`` is the store, not a
+        parameter: :func:`run_study` hands it over)."""
+        accepted = self.parameters()
+        takes = sorted(set(accepted) - {"cache"})
+        unknown = sorted(set(names) - set(takes))
+        if unknown:
+            raise StudyError(
+                f"Study {self.name!r} does not accept {unknown}; "
+                f"parameters: {takes}"
+            )
+        return accepted
 
 
 def _definitions() -> List[StudyDefinition]:
@@ -133,25 +147,18 @@ def run_study(name: str, cache=None, jobs: "int | None" = None,
     (study name, parameters, package version — see
     :mod:`repro.runtime.fingerprint`); a warm entry is returned without
     invoking the runner, and provenance records ``cache="hit"`` or
-    ``"miss"`` either way.
+    ``"miss"`` either way.  A runner declaring ``cache`` also gets the
+    store, for its own corner reuse; it never enters the fingerprint.
 
     ``jobs`` asks for parallel execution and is forwarded to the runner's
     ``workers`` parameter; studies without one reject it, mirroring how
     the CLI rejects ``--seed`` for unseeded studies.
     """
     definition = get_study(name)
-    accepted = definition.parameters()
-    unknown = sorted(set(params) - set(accepted))
-    if unknown:
-        raise StudyError(
-            f"Study {definition.name!r} does not accept {unknown}; "
-            f"parameters: {sorted(accepted)}"
-        )
+    accepted = definition.check_params(params)
     if jobs is not None:
         if "workers" in accepted:
             params.setdefault("workers", jobs)
-        elif "jobs" in accepted:
-            params.setdefault("jobs", jobs)
         else:
             raise StudyError(
                 f"Study {definition.name!r} has no parallel runner "
@@ -159,26 +166,18 @@ def run_study(name: str, cache=None, jobs: "int | None" = None,
             )
     # Imported lazily: the runtime layer sits on top of the study layer,
     # so a module-level import here would be circular.
-    from ..obs import trace as obs_trace
-    from ..runtime.cache import as_cache, with_cache_status
+    from ..runtime.cache import cached_study
     from ..runtime.fingerprint import study_fingerprint
 
-    store = as_cache(cache)
-    if "seed" in params and params["seed"] is None:
-        # An explicit seed=None asks for fresh OS entropy — caching that
-        # would serve a stale random draw as a "hit", so bypass.
-        store = None
-    with obs_trace.span(f"study:{definition.name}",
-                        study=definition.name, cached=store is not None):
-        if store is None:
-            return definition.runner(**params)
-        key = study_fingerprint(definition.name, params=params)
-        obs_trace.annotate(fingerprint=key)
-        cached = store.get(key)
-        if cached is not None:
-            obs_trace.annotate(cache="hit")
-            return with_cache_status(cached, "hit")
-        result = definition.runner(**params)
-        store.put(key, result)
-        obs_trace.annotate(cache="miss")
-        return with_cache_status(result, "miss")
+    def compute(store):
+        if "cache" in accepted:
+            return definition.runner(cache=store, **params)
+        return definition.runner(**params)
+
+    return cached_study(
+        f"study:{definition.name}", cache,
+        fresh="seed" in params and params["seed"] is None,
+        key=lambda: study_fingerprint(definition.name, params=params),
+        compute=compute,
+        study=definition.name,
+    )

@@ -49,14 +49,18 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, replace
-from typing import (Any, Callable, ClassVar, Dict, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, ClassVar, Dict, Iterable, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
 from ..errors import StudyError
 from .results import Provenance, StudyResult
 from .spec import Corner, SweepSpec, sweep_root
+
+#: The trial count and root seed of a sweep that names none.
+SWEEP_TRIALS = 200
+SWEEP_SEED = 2009
 
 #: Axes each engine understands, with their fixed-parameter defaults.
 IMMUNITY_AXES: Dict[str, object] = {
@@ -183,17 +187,29 @@ class _Sweep:
     trials: int
 
 
-def _resolve(spec: SweepSpec, engine: str, trials: int, seed,
-             fixed: Mapping[str, object]) -> _Sweep:
-    entry = _ENGINES[engine]
-    for kind, names in (("axes", list(spec.axis_names)),
+def sweep_engine(name: str, axes: Iterable[str] = (),
+                 fixed: Iterable[str] = ()) -> _Engine:
+    """The ``_ENGINES`` entry for ``name``; a :class:`StudyError` for an
+    unknown engine, or an axis or fixed parameter it does not take."""
+    if not isinstance(name, str) or name not in _ENGINES:
+        raise StudyError(
+            f"Unknown sweep engine {name!r}; use one of {sorted(_ENGINES)}"
+        )
+    entry = _ENGINES[name]
+    for kind, names in (("axes", list(axes)),
                         ("fixed parameters", sorted(fixed))):
-        unknown = [name for name in names if name not in entry.axes]
+        unknown = [item for item in names if item not in entry.axes]
         if unknown:
             raise StudyError(
-                f"Engine {engine!r} does not understand {kind} {unknown}; "
+                f"Engine {name!r} does not understand {kind} {unknown}; "
                 f"supported: {sorted(entry.axes)}"
             )
+    return entry
+
+
+def _resolve(spec: SweepSpec, engine: str, trials: int, seed,
+             fixed: Mapping[str, object]) -> _Sweep:
+    entry = sweep_engine(engine, spec.axis_names, fixed)
     constants = {name: fixed.get(name, default)
                  for name, default in entry.axes.items()
                  if name not in spec.axis_names}
@@ -209,7 +225,7 @@ def _resolve(spec: SweepSpec, engine: str, trials: int, seed,
 
 
 def run_sweep_study(spec: SweepSpec, engine: str = "immunity",
-                    trials: int = 200, seed=2009,
+                    trials: int = SWEEP_TRIALS, seed=SWEEP_SEED,
                     jobs: Optional[int] = None,
                     backend: Optional[str] = None,
                     cache=None,
@@ -238,37 +254,19 @@ def run_sweep_study(spec: SweepSpec, engine: str = "immunity",
     """
     if not isinstance(spec, SweepSpec):
         raise StudyError(f"run_sweep_study needs a SweepSpec, got {type(spec).__name__}")
-    if engine not in _ENGINES:
-        raise StudyError(
-            f"Unknown sweep engine {engine!r}; use one of {sorted(_ENGINES)}"
-        )
     # Imported lazily: the runtime layer sits on top of the study layer.
     from ..obs import metrics as obs_metrics
     from ..obs import trace as obs_trace
-    from ..runtime.cache import as_cache, with_cache_status
+    from ..runtime.cache import cached_study, with_cache_status
     from ..runtime.fingerprint import sweep_fingerprint
     from ..runtime.scheduler import plan_delta, resolve_jobs
 
-    entry = _ENGINES[engine]
-    store = as_cache(cache)
-    if entry.seeds is not None and seed is None:
-        # seed=None asks for fresh OS entropy — a deliberately
-        # nondeterministic run.  Caching it would serve a stale random
-        # draw as a "hit", so the cache is bypassed entirely.
-        store = None
+    entry = sweep_engine(engine)
     corners = spec.corners()
-    with obs_trace.span(f"sweep:{engine}", engine=engine, mode=spec.mode,
-                        corners=len(corners), trials=trials,
-                        cached=store is not None):
-        key = None
-        if store is not None:
-            key = sweep_fingerprint(spec, engine, trials, seed, fixed)
-            obs_trace.annotate(fingerprint=key)
-            cached = store.get(key)
-            if cached is not None:
-                obs_trace.annotate(cache="hit")
-                return with_cache_status(cached, "hit")
 
+    def compute(store) -> SweepStudyResult:
+        # Diff the corners against the corner store, execute the missing
+        # ones (all of them without a store), merge in corner order.
         sweep = _resolve(spec, engine, trials, seed, fixed)
         metrics_by_index: Dict[int, Mapping[str, Any]] = {}
         missing: Sequence[int] = range(len(corners))
@@ -310,11 +308,18 @@ def run_sweep_study(spec: SweepSpec, engine: str = "immunity",
             records=tuple(_record(engine, corner, metrics_by_index[index])
                           for index, corner in enumerate(corners)),
         )
-        if store is not None:
-            store.put(key, result)
-            result = with_cache_status(result, plan.status)
-            obs_trace.annotate(cache=result.provenance.cache)
-        return result
+        if store is None:
+            return result
+        return with_cache_status(result, plan.status)
+
+    return cached_study(
+        f"sweep:{engine}", cache,
+        # seed=None asks a seeded engine for fresh OS entropy.
+        fresh=entry.seeds is not None and seed is None,
+        key=lambda: sweep_fingerprint(spec, engine, trials, seed, fixed),
+        compute=compute,
+        engine=engine, mode=spec.mode, corners=len(corners), trials=trials,
+    )
 
 
 def _sweep_corner_keys(spec: SweepSpec, engine: str, trials: int, seed,

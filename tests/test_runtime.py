@@ -425,8 +425,8 @@ class TestResultCache:
 
     def test_unwritable_counters_do_not_break_a_hit(self, tmp_path,
                                                     monkeypatch):
-        """Counters are telemetry: a store whose stats.json cannot be
-        written (read-only mount) must still serve valid hits."""
+        """A ``get`` writes nothing: on a store where every write fails
+        (a read-only mount) a valid entry still hits."""
         cache = ResultCache(tmp_path / "store")
         key = study_fingerprint("fig3")
         result = experiments.run_fig3_nand3()

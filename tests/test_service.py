@@ -35,7 +35,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.analysis.experiments as experiments
 from repro.errors import ReproError
-from repro.runtime.manifest import _entry_key, ManifestEntry
+from repro.runtime.manifest import ManifestEntry
 from repro.service import (
     InvalidSubmission,
     JobManager,
@@ -546,12 +546,12 @@ class TestFingerprintProperties:
         same invocation share one content address (one cache entry)."""
         submission = JobSubmission.from_document(self.BASE)
         entry = ManifestEntry.from_mapping(self.BASE, 0)
-        assert submission.fingerprint() == _entry_key(entry)[1]
+        assert submission.fingerprint() == entry.key()
         study = JobSubmission.from_document(
             {"study": "fig3", "params": {"unit_width": 6.0}})
         study_entry = ManifestEntry.from_mapping(
             {"study": "fig3", "params": {"unit_width": 6.0}}, 0)
-        assert study.fingerprint() == _entry_key(study_entry)[1]
+        assert study.fingerprint() == study_entry.key()
 
     def test_manifest_fingerprint_is_order_sensitive(self):
         """A manifest is an ordered program; reordering its entries is
